@@ -473,6 +473,13 @@ def _cmd_export(args) -> int:
     return 0
 
 
+def nonnegative_int(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treeideals",
@@ -506,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("sample", "print member points from seeded parameter samples")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=nonnegative_int, default=1)
 
     p = add("export", "emit ring plus ideal for an external algebra system")
     p.add_argument("--format", choices=["text", "m2", "tree"], default="text")

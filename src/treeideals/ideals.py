@@ -151,14 +151,28 @@ def _chain_up(t: StagedTree, v: str, ancestor: str) -> list[str]:
     return out
 
 
+def bracket_difference(t: StagedTree, a: str, b: str, c: str, d: str) -> Polynomial:
+    """The quadric p_[a]p_[b] - p_[c]p_[d]."""
+    return t.p_bracket(a) * t.p_bracket(b) - t.p_bracket(c) * t.p_bracket(d)
+
+
 def path_difference(t: StagedTree, pair: PathPair) -> Polynomial:
-    return (
-        t.p_bracket(pair.head1) * t.p_bracket(pair.tail1)
-        - t.p_bracket(pair.head2) * t.p_bracket(pair.tail2)
-    )
+    return bracket_difference(t, *pair.endpoints())
 
 
 # -- seeds -------------------------------------------------------------
+
+
+def same_stage_pairs(t: StagedTree) -> Iterator[tuple[str, str]]:
+    """Every pair (v, w) of distinct same-stage vertices, once.
+
+    Classes in stage order, and within a class v before w in member
+    order; every generator set and the toricity test walk this order.
+    """
+    for cls in t.stage_classes():
+        for k, v in enumerate(cls.vertices):
+            for w in cls.vertices[k + 1:]:
+                yield v, w
 
 
 def _aligned_children(t: StagedTree, v: str, w: str) -> tuple[tuple[Symbol, str, str], ...]:
@@ -197,24 +211,23 @@ def stage_pair_seeds(t: StagedTree, v: str, w: str) -> tuple[PathPair, ...]:
 # -- generator sets ----------------------------------------------------
 
 
+def model_quadrics(t: StagedTree) -> Iterator[tuple[str, str, str, str, Symbol]]:
+    """Index of the model invariants: (v, w, v', w', s) per pair and label.
+
+    v' and w' are the children of v and w via s; the invariant is
+    p_[v]p_[w'] - p_[v']p_[w].
+    """
+    for v, w in same_stage_pairs(t):
+        for s in t.stage_class_of(v).labels:
+            yield v, w, t.child_via(v, s), t.child_via(w, s), s
+
+
 def model_invariant_generators(t: StagedTree) -> GeneratorSet:
     """Odds-ratio quadrics p_[v]p_[w'] - p_[v']p_[w], one per pair and label."""
-    items: list[tuple[Polynomial, str]] = []
-    for cls in t.stage_classes():
-        if cls.size < 2:
-            continue
-        for a_pos in range(cls.size):
-            for b_pos in range(a_pos + 1, cls.size):
-                v, w = cls.vertices[a_pos], cls.vertices[b_pos]
-                for s in cls.labels:
-                    v1 = t.child_via(v, s)
-                    w1 = t.child_via(w, s)
-                    poly = (
-                        t.p_bracket(v) * t.p_bracket(w1)
-                        - t.p_bracket(v1) * t.p_bracket(w)
-                    )
-                    items.append((poly, f"stage pair ({v}, {w}), label {s.name}"))
-    return _canonical_set("model", items)
+    return _canonical_set("model", (
+        (bracket_difference(t, v, w1, v1, w), f"stage pair ({v}, {w}), label {s.name}")
+        for v, w, v1, w1, s in model_quadrics(t)
+    ))
 
 
 def stage_path_generators(t: StagedTree, v: str, w: str) -> list[Polynomial]:
@@ -230,19 +243,11 @@ def stage_path_generators(t: StagedTree, v: str, w: str) -> list[Polynomial]:
 
 def paths_ideal_generators(t: StagedTree) -> GeneratorSet:
     """Union of the stage path generators over all same-stage pairs."""
-    items: list[tuple[Polynomial, str]] = []
-    for cls in t.stage_classes():
-        if cls.size < 2:
-            continue
-        for a_pos in range(cls.size):
-            for b_pos in range(a_pos + 1, cls.size):
-                v, w = cls.vertices[a_pos], cls.vertices[b_pos]
-                for seed in stage_pair_seeds(t, v, w):
-                    items.append((
-                        path_difference(t, seed),
-                        f"{seed.origin}, paths {seed}",
-                    ))
-    return _canonical_set("paths", items)
+    return _canonical_set("paths", (
+        (path_difference(t, seed), f"{seed.origin}, paths {seed}")
+        for v, w in same_stage_pairs(t)
+        for seed in stage_pair_seeds(t, v, w)
+    ))
 
 
 # -- extensions --------------------------------------------------------
@@ -391,26 +396,21 @@ def mpaths_generators(t: StagedTree) -> GeneratorSet:
     """Bracket differences of all maximal extensions of all seeds."""
     items: list[tuple[Polynomial, str]] = []
     diagnostics: list[str] = []
-    for cls in t.stage_classes():
-        if cls.size < 2:
-            continue
-        for a_pos in range(cls.size):
-            for b_pos in range(a_pos + 1, cls.size):
-                v, w = cls.vertices[a_pos], cls.vertices[b_pos]
-                for seed in stage_pair_seeds(t, v, w):
-                    exhaustive = maximal_extensions(t, seed)
-                    stepwise = maximal_extensions_stepwise(t, seed)
-                    if set(exhaustive) != set(stepwise):
-                        diagnostics.append(
-                            f"seed {seed} of {seed.origin}: stepwise search found "
-                            f"{len(stepwise)} maximal pairs, exhaustive search "
-                            f"{len(exhaustive)}"
-                        )
-                    for pair in exhaustive:
-                        items.append((
-                            path_difference(t, pair),
-                            f"{seed.origin}, seed {seed}, maximal {pair}",
-                        ))
+    for v, w in same_stage_pairs(t):
+        for seed in stage_pair_seeds(t, v, w):
+            exhaustive = maximal_extensions(t, seed)
+            stepwise = maximal_extensions_stepwise(t, seed)
+            if set(exhaustive) != set(stepwise):
+                diagnostics.append(
+                    f"seed {seed} of {seed.origin}: stepwise search found "
+                    f"{len(stepwise)} maximal pairs, exhaustive search "
+                    f"{len(exhaustive)}"
+                )
+            for pair in exhaustive:
+                items.append((
+                    path_difference(t, pair),
+                    f"{seed.origin}, seed {seed}, maximal {pair}",
+                ))
     return _canonical_set("mpaths", items, tuple(diagnostics))
 
 

@@ -1,11 +1,13 @@
 """Statistical-facing queries on a staged tree model.
 
 Membership of a probability vector is decided against the model
-invariant generators: a point of the open simplex belongs to the model
-exactly when every odds-ratio quadric vanishes at it.  For points that
-pass, the edge labels can be recovered as bracket quotients; for points
-that fail, the recovered values disagree somewhere across a stage, and
-the report says where.
+invariants: a point of the open simplex belongs to the model exactly
+when every odds-ratio quadric vanishes at it.  Each bracket p_[v] sums
+an interval of atoms, so all brackets at a point come from one prefix
+sum and every quadric is two products of bracket values.  For points
+that pass, the edge labels can be recovered as bracket quotients; for
+points that fail, the recovered values disagree somewhere across a
+stage, and the report says where.
 """
 
 from __future__ import annotations
@@ -13,11 +15,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .errors import InvalidSimplexPoint, LengthMismatch, ZeroDenominator
-from .ideals import model_invariant_generators, paths_ideal_generators
-from .polycore import Polynomial, Scalar, Symbol
+from .ideals import (
+    bracket_difference,
+    model_quadrics,
+    same_stage_pairs,
+    stage_pair_seeds,
+)
+from .polycore import Polynomial, Scalar, Symbol, polynomial_key
 from .stagedtree import StagedTree
 
 
@@ -30,8 +38,14 @@ def _as_fractions(t: StagedTree, point: Sequence[Scalar]) -> list[Fraction]:
     return values
 
 
-def _bracket_value(t: StagedTree, v: str, values: Sequence[Fraction]) -> Fraction:
-    return sum((values[i - 1] for i in t.atom_indices(v)), Fraction(0))
+def _bracket_values(t: StagedTree, values: Sequence[Fraction]) -> dict[str, Fraction]:
+    """p_[v] at the point for every vertex v, from prefix sums."""
+    prefix = list(accumulate(values, initial=Fraction(0)))
+    out = {}
+    for v in t.vertices:
+        span = t.atom_indices(v)
+        out[v] = prefix[span.stop - 1] - prefix[span.start - 1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -51,30 +65,39 @@ def membership(
 ) -> MembershipVerdict:
     """Exact membership test of a probability vector.
 
-    Every model invariant generator is evaluated at the point; failures
-    list the generators with their nonzero values.  ``check_paths``
-    additionally evaluates the path ideal generators as a diagnostic
-    cross-check (the two vanishing tests agree on the open simplex).
+    Each model invariant p_[v]p_[w'] - p_[v']p_[w] is evaluated from
+    the bracket values at the point; failures list the canonical model
+    generators that do not vanish, with their values, in generator
+    order.  ``check_paths`` additionally evaluates the path ideal
+    generators as a diagnostic cross-check (the two vanishing tests
+    agree on the open simplex).
     """
     values = _as_fractions(t, point)
     in_simplex = sum(values) == 1 and all(0 < x < 1 for x in values)
-    assignment = {a.symbol: values[a.index - 1] for a in t.atoms}
-    failures = []
-    for gen in model_invariant_generators(t).generators:
-        value = gen.evaluate(assignment)
-        if value != 0:
-            failures.append((gen, value))
+    b = _bracket_values(t, values)
+    failing: dict[Polynomial, Fraction] = {}
+    for v, w, v1, w1, _ in model_quadrics(t):
+        value = b[v] * b[w1] - b[v1] * b[w]
+        if value:
+            quadric = bracket_difference(t, v, w1, v1, w)
+            gen = quadric.normalized_sign()  # the same object unless negated
+            failing[gen] = value if gen is quadric else -value
+    failures = tuple(
+        (gen, failing[gen])
+        for gen in sorted(failing, key=polynomial_key, reverse=True)
+    )
     paths_agree: bool | None = None
     if check_paths:
         paths_vanish = all(
-            gen.evaluate(assignment) == 0
-            for gen in paths_ideal_generators(t).generators
+            b[h1] * b[t1] == b[h2] * b[t2]
+            for v, w in same_stage_pairs(t)
+            for h1, t1, h2, t2 in (s.endpoints() for s in stage_pair_seeds(t, v, w))
         )
         paths_agree = paths_vanish == (not failures)
     return MembershipVerdict(
         in_simplex=in_simplex,
         invariants_vanish=not failures,
-        failures=tuple(failures),
+        failures=failures,
         paths_agree=paths_agree,
     )
 
@@ -113,14 +136,15 @@ def conditional_probability_report(
             raise InvalidSimplexPoint(
                 f"entry {k} is {x}; boundary points are rejected here"
             )
+    b = _bracket_values(t, values)
     edge_values: dict[tuple[str, str], Fraction] = {}
     by_label: dict[Symbol, list[tuple[tuple[str, str], Fraction]]] = {}
     for v in t.internal_vertices:
-        denom = _bracket_value(t, v, values)
+        denom = b[v]
         if denom == 0:
             raise ZeroDenominator(f"p_[{v}] evaluates to 0")
         for e in t.children_of(v):
-            value = _bracket_value(t, e.child, values) / denom
+            value = b[e.child] / denom
             key = (e.parent, e.child)
             edge_values[key] = value
             by_label.setdefault(e.label, []).append((key, value))

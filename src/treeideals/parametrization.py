@@ -24,6 +24,7 @@ from .ideals import (
     model_invariant_generators,
     mpaths_generators,
     paths_ideal_generators,
+    same_stage_pairs,
 )
 from .polycore import Polynomial, Scalar, Symbol
 from .stagedtree import StagedTree
@@ -154,18 +155,13 @@ def is_toric(t: StagedTree) -> ToricityVerdict:
     failures: list[StarResult] = []
     all_positions = True
     checked = 0
-    for cls in t.stage_classes():
-        if cls.size < 2:
-            continue
-        for a_pos in range(cls.size):
-            for b_pos in range(a_pos + 1, cls.size):
-                v, w = cls.vertices[a_pos], cls.vertices[b_pos]
-                checked += 1
-                if not t.same_position(v, w):
-                    all_positions = False
-                result = star_condition(t, v, w)
-                if not result.holds:
-                    failures.append(result)
+    for v, w in same_stage_pairs(t):
+        checked += 1
+        if not t.same_position(v, w):
+            all_positions = False
+        result = star_condition(t, v, w)
+        if not result.holds:
+            failures.append(result)
     return ToricityVerdict(
         toric=not failures,
         failures=tuple(failures),

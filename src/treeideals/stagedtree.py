@@ -160,10 +160,14 @@ def validate_tree(definition: TreeDefinition) -> ValidationReport:
                     v.id,
                 ))
 
-    if not out and definition.atom_names is not None:
+    # Atom names share the symbol table with the labels, so the default
+    # names p1..pn must not collide with a label either.
+    if not out:
         names = definition.atom_names
         n_leaves = _count_leaves(definition, declared)
-        if len(names) != n_leaves:
+        if names is None:
+            names = tuple(f"p{i}" for i in range(1, n_leaves + 1))
+        elif len(names) != n_leaves:
             out.append(Violation(
                 "atom-names-count",
                 f"{len(names)} atom names given for {n_leaves} atoms",

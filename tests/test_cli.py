@@ -90,6 +90,21 @@ class TestExitCodes:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_label_named_like_a_default_atom_is_invalid(self, capsys, tmp_path):
+        doc = tmp_path / "p1.json"
+        doc.write_text(json.dumps({
+            "root": "r",
+            "vertices": [{"id": "r", "edges": [
+                {"to": "a", "label": "p1"}, {"to": "b", "label": "y"},
+            ]}],
+        }))
+        code, out, _ = run(capsys, "validate", str(doc))
+        assert code == 1
+        assert out.splitlines() == [
+            "invalid",
+            "atom-names-collision: atom name 'p1' collides with an edge label",
+        ]
+
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:
             run_command(["frobnicate", FIG1_T2])
@@ -269,6 +284,12 @@ class TestSample:
         _, block, _ = run(capsys, "sample", FIG1_T2, "--seed", "5", "--count", "2")
         _, shifted, _ = run(capsys, "sample", FIG1_T2, "--seed", "6")
         assert block.splitlines()[1] == shifted.splitlines()[0]
+
+    def test_negative_count_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_command(["sample", FIG1_T2, "--count", "-3"])
+        assert info.value.code == 2
+        assert "--count: must be nonnegative, got -3" in capsys.readouterr().err
 
     def test_samples_are_members(self, capsys):
         t = load_fixture("fig1_t2")

@@ -3,16 +3,21 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from treeideals import (
     InvalidSimplexPoint,
     LengthMismatch,
     conditional_probability_report,
     membership,
+    model_invariant_generators,
+    paths_ideal_generators,
     psi_evaluate,
     sample_theta,
 )
-from conftest import load_fixture
+from treeideals.model import MembershipVerdict
+from conftest import FIXTURE_NAMES, load_fixture
 
 MEMBER_POINT = [
     Fraction(1, 12), Fraction(1, 6), Fraction(1, 4),
@@ -70,6 +75,85 @@ class TestMembership:
         t = load_fixture("fig1_t2")
         verdict = membership(t, ["1/6", "1/6", "1/6", "1/6", "1/6", "1/6"])
         assert verdict.member
+
+
+def membership_by_generators(t, point, check_paths=False) -> MembershipVerdict:
+    """Reference membership: build the canonical model generator set and
+    evaluate every generator at the point, term by term."""
+    values = [Fraction(x) for x in point]
+    in_simplex = sum(values) == 1 and all(0 < x < 1 for x in values)
+    assignment = {a.symbol: values[a.index - 1] for a in t.atoms}
+    failures = []
+    for gen in model_invariant_generators(t).generators:
+        value = gen.evaluate(assignment)
+        if value != 0:
+            failures.append((gen, value))
+    paths_agree = None
+    if check_paths:
+        paths_vanish = all(
+            gen.evaluate(assignment) == 0
+            for gen in paths_ideal_generators(t).generators
+        )
+        paths_agree = paths_vanish == (not failures)
+    return MembershipVerdict(
+        in_simplex=in_simplex,
+        invariants_vanish=not failures,
+        failures=tuple(failures),
+        paths_agree=paths_agree,
+    )
+
+
+def sibling_leaf_pairs(t):
+    """0-based atom positions of every two leaves sharing a parent."""
+    pairs = []
+    for v in t.internal_vertices:
+        leaves = [
+            t.atom_indices(e.child).start - 1
+            for e in t.children_of(v)
+            if t.is_leaf(e.child)
+        ]
+        pairs += [(a, b) for k, a in enumerate(leaves) for b in leaves[k + 1:]]
+    return pairs
+
+
+@st.composite
+def points(draw, t):
+    """Members, members moved on two sibling leaves, generic and boundary
+    simplex points, and points whose entries do not sum to 1."""
+    n = t.n_atoms
+    kind = draw(st.sampled_from(
+        ["member", "perturbed", "generic", "boundary", "unnormalized"]
+    ))
+    if kind in ("member", "perturbed"):
+        point = psi_evaluate(t, sample_theta(t, draw(st.integers(0, 10**6))))
+        if kind == "perturbed":
+            a, b = draw(st.sampled_from(sibling_leaf_pairs(t)))
+            eps = min(point[a], point[b]) / draw(st.integers(2, 1000))
+            point[a] += eps
+            point[b] -= eps
+        return point
+    if kind == "unnormalized":
+        point = draw(st.lists(
+            st.fractions(min_value=-2, max_value=2, max_denominator=1000),
+            min_size=n, max_size=n,
+        ))
+        assume(sum(point) != 1)
+        return point
+    weights = draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n))
+    if kind == "boundary":
+        zeros = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+        weights = [0 if k in zeros else w for k, w in enumerate(weights)]
+    return [Fraction(w, sum(weights)) for w in weights]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), check_paths=st.booleans())
+def test_bracket_membership_matches_generator_evaluation(trees, name, data, check_paths):
+    t = trees[name]
+    point = data.draw(points(t))
+    verdict = membership(t, point, check_paths=check_paths)
+    assert verdict == membership_by_generators(t, point, check_paths=check_paths)
 
 
 class TestConditionalRecovery:

@@ -85,6 +85,12 @@ class TestValidation:
         assert "atom-names-duplicate" in codes(defn("r", base, ["p1", "p1"]))
         assert "atom-names-collision" in codes(defn("r", base, ["p1", "x"]))
 
+    def test_label_named_like_a_default_atom(self):
+        d = defn("r", [("r", [("a", "p1"), ("b", "y")])])
+        assert codes(d) == {"atom-names-collision"}
+        renamed = defn("r", [("r", [("a", "p1"), ("b", "y")])], ["q1", "q2"])
+        assert validate_tree(renamed).ok
+
     def test_build_tree_raises_with_report(self):
         d = defn("r", [("r", [("a", "x")])])
         with pytest.raises(ValidationError) as exc:
