@@ -117,7 +117,8 @@ def parse_tree_document(text: str) -> StagedTree:
 
 
 def tree_document_data(t: StagedTree) -> dict:
-    """Canonical document content: internal vertices in depth-first order."""
+    """Canonical document content: the root and the internal vertices,
+    in depth-first order."""
     return {
         "root": t.root,
         "vertices": [
@@ -129,7 +130,7 @@ def tree_document_data(t: StagedTree) -> dict:
                 ],
             }
             for v in t.vertices
-            if not t.is_leaf(v)
+            if v == t.root or not t.is_leaf(v)
         ],
         "atom_names": [a.symbol.name for a in t.atoms],
     }
@@ -316,13 +317,10 @@ def _cmd_generators(args) -> int:
         if args.provenance:
             for origin in genset.provenance[gen]:
                 lines.append(f"  from: {origin}")
-    for note in genset.diagnostics:
-        lines.append(f"  note: {note}")
     payload = {
         "ideal": genset.kind,
         "generators": [str(g) for g in genset.generators],
         "provenance": [list(genset.provenance[g]) for g in genset.generators],
-        "diagnostics": list(genset.diagnostics),
     }
     _emit(args, lines, payload)
     return 0

@@ -83,12 +83,12 @@ class PathPair:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """Canonical list of ideal generators plus their origins."""
+    """Canonical list of ideal generators; provenance maps each generator
+    to the origins that produced it."""
 
     kind: str
     generators: tuple[Polynomial, ...]
     provenance: dict[Polynomial, tuple[str, ...]]
-    diagnostics: tuple[str, ...] = ()
 
     def __iter__(self) -> Iterator[Polynomial]:
         return iter(self.generators)
@@ -100,11 +100,7 @@ class GeneratorSet:
         return frozenset(self.generators)
 
 
-def _canonical_set(
-    kind: str,
-    items: Iterable[tuple[Polynomial, str]],
-    diagnostics: tuple[str, ...] = (),
-) -> GeneratorSet:
+def _canonical_set(kind: str, items: Iterable[tuple[Polynomial, str]]) -> GeneratorSet:
     acc: dict[Polynomial, list[str]] = {}
     for poly, origin in items:
         canon = poly.normalized_sign()
@@ -116,7 +112,6 @@ def _canonical_set(
         kind=kind,
         generators=tuple(ordered),
         provenance={g: tuple(acc[g]) for g in ordered},
-        diagnostics=diagnostics,
     )
 
 
@@ -361,11 +356,12 @@ def _extends(
 
 
 def maximal_extensions_stepwise(t: StagedTree, seed: PathPair) -> list[PathPair]:
-    """Closure under single equal-label steps; kept as a cross-check.
+    """Closure under single equal-label steps.
 
     This pass can miss completions whose label products only agree as
-    whole products, so `maximal_extensions` is the authoritative one;
-    `mpaths_generators` reports any disagreement as a diagnostic.
+    whole products, so `maximal_extensions` is the authoritative one and
+    the only one `mpaths_generators` uses; the test suite keeps this
+    search as a reference to compare against.
     """
     seen = {seed}
     frontier = [seed]
@@ -394,24 +390,12 @@ def fully_extends(t: StagedTree, seed: PathPair) -> bool:
 
 def mpaths_generators(t: StagedTree) -> GeneratorSet:
     """Bracket differences of all maximal extensions of all seeds."""
-    items: list[tuple[Polynomial, str]] = []
-    diagnostics: list[str] = []
-    for v, w in same_stage_pairs(t):
-        for seed in stage_pair_seeds(t, v, w):
-            exhaustive = maximal_extensions(t, seed)
-            stepwise = maximal_extensions_stepwise(t, seed)
-            if set(exhaustive) != set(stepwise):
-                diagnostics.append(
-                    f"seed {seed} of {seed.origin}: stepwise search found "
-                    f"{len(stepwise)} maximal pairs, exhaustive search "
-                    f"{len(exhaustive)}"
-                )
-            for pair in exhaustive:
-                items.append((
-                    path_difference(t, pair),
-                    f"{seed.origin}, seed {seed}, maximal {pair}",
-                ))
-    return _canonical_set("mpaths", items, tuple(diagnostics))
+    return _canonical_set("mpaths", (
+        (path_difference(t, pair), f"{seed.origin}, seed {seed}, maximal {pair}")
+        for v, w in same_stage_pairs(t)
+        for seed in stage_pair_seeds(t, v, w)
+        for pair in maximal_extensions(t, seed)
+    ))
 
 
 # -- scalars of the model ----------------------------------------------

@@ -19,12 +19,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .errors import InvalidSimplexPoint, LengthMismatch, ZeroDenominator
-from .ideals import (
-    bracket_difference,
-    model_quadrics,
-    same_stage_pairs,
-    stage_pair_seeds,
-)
+from .ideals import bracket_difference, model_quadrics
 from .polycore import Polynomial, Scalar, Symbol, polynomial_key
 from .stagedtree import StagedTree
 
@@ -53,27 +48,23 @@ class MembershipVerdict:
     in_simplex: bool
     invariants_vanish: bool
     failures: tuple[tuple[Polynomial, Fraction], ...]
-    paths_agree: bool | None = None
 
     @property
     def member(self) -> bool:
         return self.in_simplex and self.invariants_vanish
 
 
-def membership(
-    t: StagedTree, point: Sequence[Scalar], check_paths: bool = False
-) -> MembershipVerdict:
+def membership(t: StagedTree, point: Sequence[Scalar]) -> MembershipVerdict:
     """Exact membership test of a probability vector.
 
-    Each model invariant p_[v]p_[w'] - p_[v']p_[w] is evaluated from
-    the bracket values at the point; failures list the canonical model
-    generators that do not vanish, with their values, in generator
-    order.  ``check_paths`` additionally evaluates the path ideal
-    generators as a diagnostic cross-check (the two vanishing tests
-    agree on the open simplex).
+    The point is in the open simplex when its entries are positive and
+    sum to 1.  Each model invariant p_[v]p_[w'] - p_[v']p_[w] is
+    evaluated from the bracket values at the point; failures list the
+    canonical model generators that do not vanish, with their values,
+    in generator order.
     """
     values = _as_fractions(t, point)
-    in_simplex = sum(values) == 1 and all(0 < x < 1 for x in values)
+    in_simplex = sum(values) == 1 and all(x > 0 for x in values)
     b = _bracket_values(t, values)
     failing: dict[Polynomial, Fraction] = {}
     for v, w, v1, w1, _ in model_quadrics(t):
@@ -86,19 +77,10 @@ def membership(
         (gen, failing[gen])
         for gen in sorted(failing, key=polynomial_key, reverse=True)
     )
-    paths_agree: bool | None = None
-    if check_paths:
-        paths_vanish = all(
-            b[h1] * b[t1] == b[h2] * b[t2]
-            for v, w in same_stage_pairs(t)
-            for h1, t1, h2, t2 in (s.endpoints() for s in stage_pair_seeds(t, v, w))
-        )
-        paths_agree = paths_vanish == (not failures)
     return MembershipVerdict(
         in_simplex=in_simplex,
         invariants_vanish=not failures,
         failures=failures,
-        paths_agree=paths_agree,
     )
 
 

@@ -270,7 +270,7 @@ def test_criterion_8_sampled_members(trees):
             ]
             # Tie one seed to the public membership predicate ...
             first = psi_evaluate(t, sample_theta(t, 1))
-            assert membership(t, first, check_paths=True).member, name
+            assert membership(t, first).member, name
             # ... then sweep the full seed range on the cached sets.
             for seed in range(1, 101):
                 theta = sample_theta(t, seed)

@@ -1,9 +1,11 @@
 """Command-line behaviour: exit codes, exact output, parsing."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +43,14 @@ def member_point(tmp_path):
 def outside_point(tmp_path):
     path = tmp_path / "outside.txt"
     path.write_text("1/2 1/10 1/10 1/10 1/10 1/10\n")
+    return str(path)
+
+
+@pytest.fixture
+def leaf_root(tmp_path):
+    """A tree whose root is its only vertex and so its only atom."""
+    path = tmp_path / "leaf_root.json"
+    path.write_text(json.dumps({"root": "r", "vertices": [{"id": "r"}]}))
     return str(path)
 
 
@@ -266,6 +276,20 @@ class TestMembership:
             "failure: p3*p4 + p3*p5 - p1*p6 - p2*p6 = -1/25",
         ]
 
+    def test_one_atom_model_contains_its_sample(self, capsys, tmp_path, leaf_root):
+        code, sampled, _ = run(capsys, "sample", leaf_root)
+        assert code == 0
+        assert sampled == "1\n"
+        point = tmp_path / "one.txt"
+        point.write_text(sampled)
+        code, out, _ = run(capsys, "membership", leaf_root, "--point", str(point))
+        assert code == 0
+        assert out.splitlines() == [
+            "in simplex: yes",
+            "invariants vanish: yes",
+            "member: yes",
+        ]
+
     def test_bad_point_file_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1/2 oops")
@@ -354,6 +378,19 @@ class TestExport:
         assert code == 0
         assert again == out
 
+    def test_tree_format_keeps_a_leaf_root(self, capsys, tmp_path, leaf_root):
+        code, out, _ = run(capsys, "export", leaf_root, "--format", "tree")
+        assert code == 0
+        assert json.loads(out)["vertices"] == [{"id": "r", "edges": []}]
+        rewritten = tmp_path / "copy.json"
+        rewritten.write_text(out)
+        code, valid, _ = run(capsys, "validate", str(rewritten))
+        assert code == 0
+        assert valid.splitlines()[0] == "valid"
+        code, again, _ = run(capsys, "export", str(rewritten), "--format", "tree")
+        assert code == 0
+        assert again == out
+
     def test_render_parse_round_trip(self, any_tree):
         text = render_tree_document(any_tree)
         again = parse_tree_document(text)
@@ -395,9 +432,14 @@ class TestPolynomialText:
 
 class TestInstalledEntryPoint:
     def test_console_script_runs(self):
+        # The package's src directory comes first, so the module runs
+        # with or without an install.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "treeideals.cli", "validate", FIG1_T2],
             capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert result.stdout.splitlines()[0] == "valid"

@@ -12,10 +12,12 @@ from treeideals import (
     conditional_probability_report,
     membership,
     model_invariant_generators,
-    paths_ideal_generators,
     psi_evaluate,
     sample_theta,
+    stage_pair_seeds,
 )
+from treeideals.cli import parse_tree_document
+from treeideals.ideals import same_stage_pairs
 from treeideals.model import MembershipVerdict
 from conftest import FIXTURE_NAMES, load_fixture
 
@@ -37,7 +39,6 @@ class TestMembership:
         assert verdict.invariants_vanish
         assert verdict.member
         assert verdict.failures == ()
-        assert verdict.paths_agree is None
 
     def test_uniform_point_is_a_member(self):
         t = load_fixture("fig1_t2")
@@ -55,8 +56,13 @@ class TestMembership:
 
     def test_paths_cross_check(self):
         t = load_fixture("fig1_t2")
-        assert membership(t, MEMBER_POINT, check_paths=True).paths_agree
-        assert membership(t, OUTSIDE_POINT, check_paths=True).paths_agree
+        assert seed_brackets_vanish(t, MEMBER_POINT)
+        assert not seed_brackets_vanish(t, OUTSIDE_POINT)
+
+    def test_one_atom_tree_contains_its_only_point(self):
+        t = parse_tree_document('{"root": "r", "vertices": [{"id": "r"}]}')
+        assert membership(t, [1]).member
+        assert not membership(t, [Fraction(1, 2)]).in_simplex
 
     def test_boundary_and_bad_sums_leave_the_simplex(self):
         t = load_fixture("fig1_t2")
@@ -77,29 +83,33 @@ class TestMembership:
         assert verdict.member
 
 
-def membership_by_generators(t, point, check_paths=False) -> MembershipVerdict:
+def membership_by_generators(t, point) -> MembershipVerdict:
     """Reference membership: build the canonical model generator set and
     evaluate every generator at the point, term by term."""
     values = [Fraction(x) for x in point]
-    in_simplex = sum(values) == 1 and all(0 < x < 1 for x in values)
+    in_simplex = sum(values) == 1 and all(x > 0 for x in values)
     assignment = {a.symbol: values[a.index - 1] for a in t.atoms}
     failures = []
     for gen in model_invariant_generators(t).generators:
         value = gen.evaluate(assignment)
         if value != 0:
             failures.append((gen, value))
-    paths_agree = None
-    if check_paths:
-        paths_vanish = all(
-            gen.evaluate(assignment) == 0
-            for gen in paths_ideal_generators(t).generators
-        )
-        paths_agree = paths_vanish == (not failures)
     return MembershipVerdict(
         in_simplex=in_simplex,
         invariants_vanish=not failures,
         failures=tuple(failures),
-        paths_agree=paths_agree,
+    )
+
+
+def seed_brackets_vanish(t, point) -> bool:
+    """Whether b[h1]b[t1] - b[h2]b[t2] vanishes at the point for the
+    endpoints of every seed path pair, b[v] being the bracket p_[v]."""
+    values = [Fraction(x) for x in point]
+    b = {v: sum(values[k - 1] for k in t.atom_indices(v)) for v in t.vertices}
+    return all(
+        b[h1] * b[t1] == b[h2] * b[t2]
+        for v, w in same_stage_pairs(t)
+        for h1, t1, h2, t2 in (s.endpoints() for s in stage_pair_seeds(t, v, w))
     )
 
 
@@ -148,12 +158,24 @@ def points(draw, t):
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 @settings(max_examples=20, deadline=None)
-@given(data=st.data(), check_paths=st.booleans())
-def test_bracket_membership_matches_generator_evaluation(trees, name, data, check_paths):
+@given(data=st.data())
+def test_bracket_membership_matches_generator_evaluation(trees, name, data):
     t = trees[name]
     point = data.draw(points(t))
-    verdict = membership(t, point, check_paths=check_paths)
-    assert verdict == membership_by_generators(t, point, check_paths=check_paths)
+    assert membership(t, point) == membership_by_generators(t, point)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_seed_paths_vanish_exactly_where_the_invariants_do(trees, name, data):
+    # On the open simplex every bracket is positive, so the path ideal
+    # and the model invariants cut out the same points.
+    t = trees[name]
+    point = data.draw(points(t))
+    verdict = membership(t, point)
+    assume(verdict.in_simplex)
+    assert seed_brackets_vanish(t, point) == verdict.invariants_vanish
 
 
 class TestConditionalRecovery:
@@ -223,9 +245,8 @@ class TestSampling:
         for seed in (1, 2, 3):
             theta = sample_theta(t, seed)
             point = psi_evaluate(t, theta)
-            verdict = membership(t, point, check_paths=True)
-            assert verdict.member
-            assert verdict.paths_agree
+            assert membership(t, point).member
+            assert seed_brackets_vanish(t, point)
             report = conditional_probability_report(t, point)
             assert report.consistent
             assert report.recovered() == theta
