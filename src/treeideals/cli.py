@@ -60,6 +60,8 @@ def parse_tree_definition(text: str) -> TreeDefinition:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise ParseError("document is nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError("top level: expected an object")
     for key in data:
@@ -241,9 +243,16 @@ _IDEALS = {
 }
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
 def _load_tree(path: str) -> StagedTree:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_tree_document(fh.read())
+    return parse_tree_document(_read_text(path))
 
 
 def _emit(args, lines: list[str], payload) -> None:
@@ -254,8 +263,7 @@ def _emit(args, lines: list[str], payload) -> None:
 
 
 def _cmd_validate(args) -> int:
-    with open(args.tree, "r", encoding="utf-8") as fh:
-        definition = parse_tree_definition(fh.read())
+    definition = parse_tree_definition(_read_text(args.tree))
     report = validate_tree(definition)
     if report.ok:
         t = build_tree(definition)
@@ -391,8 +399,7 @@ def _cmd_positions(args) -> int:
 
 def _cmd_membership(args) -> int:
     t = _load_tree(args.tree)
-    with open(args.point, "r", encoding="utf-8") as fh:
-        point = parse_point(fh.read())
+    point = parse_point(_read_text(args.point))
     verdict = membership(t, point)
     lines = [
         f"in simplex: {'yes' if verdict.in_simplex else 'no'}",

@@ -2,17 +2,19 @@
 
 A tree is described by a ``TreeDefinition`` (pure data, as parsed from a
 document) and compiled by ``build_tree`` into an immutable ``StagedTree``
-carrying everything the algebra needs: the atom enumeration in
-depth-first order, bracket sums ``p_[v]``, subtree polynomials ``t(v)``
-and the stage partition.  Stages are never declared explicitly: two
-vertices are in the same stage exactly when their outgoing edges use the
-same set of label names.  Label names are the single source of stage
-information, here and in the file format.
+carrying the tree's structure: the atom enumeration in depth-first
+order, the atom interval of every vertex and the stage partition.  The
+bracket sums ``p_[v]`` and subtree polynomials ``t(v)`` are read off
+those intervals, each built on first use.  Stages are never declared
+explicitly: two vertices are in the same stage exactly when their
+outgoing edges use the same set of label names.  Label names are the
+single source of stage information, here and in the file format.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -246,7 +248,7 @@ class StageClass:
 
 
 class StagedTree:
-    """Compiled, immutable staged tree with precomputed algebra caches."""
+    """Compiled, immutable staged tree; p_[v] and t(v) built on first use."""
 
     __slots__ = (
         "definition", "table", "root", "vertices", "internal_vertices",
@@ -324,32 +326,19 @@ class StagedTree:
         self._atom_by_name = {a.symbol.name: a for a in atoms}
 
         # Contiguous atom index spans per vertex (depth-first order makes
-        # every [v] an interval), then bracket sums and t(v) bottom-up.
+        # every [v] an interval).
         leaf_index = {a.leaf: a.index for a in atoms}
         span: dict[str, tuple[int, int]] = {}
-        t_poly: dict[str, Polynomial] = {}
         for v in reversed(order):
             if not children[v]:
                 i = leaf_index[v]
                 span[v] = (i, i)
-                t_poly[v] = Polynomial.one()
             else:
-                lo = min(span[e.child][0] for e in children[v])
-                hi = max(span[e.child][1] for e in children[v])
-                span[v] = (lo, hi)
-                total = Polynomial.zero()
-                for e in children[v]:
-                    total = total + Polynomial.variable(e.label) * t_poly[e.child]
-                t_poly[v] = total
+                first, last = children[v][0].child, children[v][-1].child
+                span[v] = (span[first][0], span[last][1])
         self._span = span
-        self._t_poly = t_poly
-        self._p_bracket = {
-            v: Polynomial(
-                (Monomial.of(atoms[i - 1].symbol), 1)
-                for i in range(span[v][0], span[v][1] + 1)
-            )
-            for v in order
-        }
+        self._p_bracket: dict[str, Polynomial] = {}
+        self._t_poly: dict[str, Polynomial] = {}
 
         # Stage partition of the internal vertices, keyed by label set;
         # classes ordered by first member, members in depth-first order.
@@ -440,13 +429,27 @@ class StagedTree:
         return frozenset(self.atom_indices(v))
 
     def p_bracket(self, v: str) -> Polynomial:
-        """Sum of the atom symbols routed through v."""
-        self._require(v)
+        """Sum of the atom symbols routed through v, built on first use."""
+        if v not in self._p_bracket:
+            self._p_bracket[v] = Polynomial(
+                (Monomial.of(self.atoms[i - 1].symbol), 1) for i in self.atom_indices(v)
+            )
         return self._p_bracket[v]
 
     def t_polynomial(self, v: str) -> Polynomial:
-        """Sum over v-to-leaf paths of their edge label products."""
-        self._require(v)
+        """Sum over v-to-leaf paths of their edge label products.
+
+        Each such path ends one atom through v, so its product is that
+        atom's monomial with the labels above v divided out.  Built on
+        first use.
+        """
+        if v not in self._t_poly:
+            atoms = [self.atoms[i - 1] for i in self.atom_indices(v)]
+            above = Counter(atoms[0].labels[:self._depth[v]])
+            self._t_poly[v] = Polynomial(
+                (Monomial((s, e - above[s]) for s, e in a.monomial.powers), 1)
+                for a in atoms
+            )
         return self._t_poly[v]
 
     # -- stages and positions -----------------------------------------
@@ -469,22 +472,16 @@ class StagedTree:
 
     def same_position(self, v: str, w: str) -> bool:
         """Same stage and identical subtree polynomial t(v) = t(w)."""
-        return self.same_stage(v, w) and self._t_poly[v] == self._t_poly[w]
+        return self.same_stage(v, w) and self.t_polynomial(v) == self.t_polynomial(w)
 
     def position_classes(self) -> tuple[tuple[str, ...], ...]:
         """Stage classes refined by equality of t(v), internal vertices only."""
         out: list[tuple[str, ...]] = []
         for cls in self._classes:
-            groups: list[tuple[Polynomial, list[str]]] = []
+            groups: dict[Polynomial, list[str]] = {}
             for v in cls.vertices:
-                t = self._t_poly[v]
-                for known, members in groups:
-                    if known == t:
-                        members.append(v)
-                        break
-                else:
-                    groups.append((t, [v]))
-            out.extend(tuple(members) for _, members in groups)
+                groups.setdefault(self.t_polynomial(v), []).append(v)
+            out.extend(tuple(members) for members in groups.values())
         return tuple(out)
 
     # -- identity -----------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from treeideals import ParseError, UnboundSymbol, membership
+from treeideals import ParseError, Polynomial, UnboundSymbol, membership
 from treeideals.cli import (
     parse_point,
     parse_polynomial,
@@ -17,7 +17,7 @@ from treeideals.cli import (
     render_tree_document,
     run_command,
 )
-from conftest import FIXTURE_DIR, load_fixture
+from conftest import FIXTURE_DIR, FIXTURE_NAMES, load_fixture
 
 FIG1_T1 = str(FIXTURE_DIR / "fig1_t1.json")
 FIG1_T2 = str(FIXTURE_DIR / "fig1_t2.json")
@@ -114,6 +114,22 @@ class TestExitCodes:
             "invalid",
             "atom-names-collision: atom name 'p1' collides with an edge label",
         ]
+
+    def test_non_utf8_tree_is_a_usage_error(self, capsys, tmp_path):
+        doc = tmp_path / "utf16.json"
+        doc.write_bytes(b'\xff\xfe{"root": "r"}')
+        code, out, err = run(capsys, "validate", str(doc))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "utf16.json: not UTF-8" in err
+
+    def test_deeply_nested_document_is_a_usage_error(self, capsys, tmp_path):
+        doc = tmp_path / "deep.json"
+        doc.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "validate", str(doc))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: document is nested too deeply"]
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -297,6 +313,14 @@ class TestMembership:
         assert code == 2
         assert "bad rational 'oops'" in err
 
+    def test_non_utf8_point_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "point.txt"
+        path.write_bytes(b"\xff\xfe1/2 1/2")
+        code, out, err = run(capsys, "membership", FIG1_T2, "--point", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "point.txt: not UTF-8" in err
+
 
 class TestSample:
     def test_deterministic(self, capsys):
@@ -396,6 +420,27 @@ class TestExport:
         again = parse_tree_document(text)
         assert render_tree_document(again) == text
         assert again.signature == any_tree.signature
+
+
+class TestLazyCompile:
+    """Compiling a tree, and commands that need no generator set, do no
+    polynomial arithmetic."""
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["atoms"], ["dim"], ["sample"], ["positions"],
+        ["export", "--format", "tree"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_no_polynomial_arithmetic(self, capsys, monkeypatch, name, argv):
+        def forbidden(*args):
+            raise AssertionError("polynomial arithmetic")
+
+        for op in ("__add__", "__radd__", "__sub__", "__rsub__",
+                   "__mul__", "__rmul__", "__neg__"):
+            monkeypatch.setattr(Polynomial, op, forbidden)
+        path = str(FIXTURE_DIR / f"{name}.json")
+        code, _, _ = run(capsys, argv[0], path, *argv[1:])
+        assert code == 0
 
 
 class TestPolynomialText:

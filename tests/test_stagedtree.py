@@ -12,7 +12,7 @@ from treeideals import (
     build_tree,
     validate_tree,
 )
-from conftest import load_fixture
+from conftest import FIXTURE_NAMES, load_fixture
 
 
 def defn(root, vertices, atom_names=None):
@@ -24,6 +24,23 @@ def defn(root, vertices, atom_names=None):
         ),
         atom_names=tuple(atom_names) if atom_names is not None else None,
     )
+
+
+def shared_children_tree():
+    """Two same-position children below a vertex of their own stage:
+    t(v) = s0^2 + 2*s0*s1 + s1^2 has a coefficient above 1."""
+    return build_tree(root="v", vertices=[
+        ("v", [("x", "s0"), ("y", "s1")]),
+        ("x", [("l1", "s0"), ("l2", "s1")]),
+        ("y", [("l3", "s0"), ("l4", "s1")]),
+    ])
+
+
+@pytest.fixture(params=FIXTURE_NAMES + ["shared_children"])
+def bracket_tree(request):
+    if request.param == "shared_children":
+        return shared_children_tree()
+    return load_fixture(request.param)
 
 
 def codes(definition):
@@ -181,16 +198,16 @@ class TestBrackets:
             total = total + Polynomial.variable(a.symbol)
         assert t.p_bracket(t.root) == total
 
-    def test_children_sum_identity(self, any_tree):
-        t = any_tree
+    def test_children_sum_identity(self, bracket_tree):
+        t = bracket_tree
         for v in t.internal_vertices:
             total = Polynomial.zero()
             for e in t.children_of(v):
                 total = total + t.p_bracket(e.child)
             assert t.p_bracket(v) == total
 
-    def test_subtree_polynomial_recursion(self, any_tree):
-        t = any_tree
+    def test_subtree_polynomial_recursion(self, bracket_tree):
+        t = bracket_tree
         for v in t.vertices:
             if t.is_leaf(v):
                 assert t.t_polynomial(v) == Polynomial.one()
@@ -265,6 +282,9 @@ class TestStages:
         assert t1.position_classes() == (
             ("v0",), ("v1", "v2"), ("v3", "v5"), ("v4", "v6"),
         )
+        shared = shared_children_tree()
+        assert str(shared.t_polynomial("v")) == "s0^2 + 2*s0*s1 + s1^2"
+        assert shared.position_classes() == (("v",), ("x", "y"))
 
     def test_star_example_positions(self):
         t = load_fixture("star_example")
