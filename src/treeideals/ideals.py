@@ -18,6 +18,7 @@ produced each generator.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -84,11 +85,16 @@ class PathPair:
 @dataclass(frozen=True)
 class GeneratorSet:
     """Canonical list of ideal generators; provenance maps each generator
-    to the origins that produced it."""
+    to the origins that produced it.
+
+    ``endpoints`` holds one vertex quadruple (a, b, c, d) per generator,
+    in generator order, with gen == p_[a]p_[b] - p_[c]p_[d] exactly.
+    """
 
     kind: str
     generators: tuple[Polynomial, ...]
     provenance: dict[Polynomial, tuple[str, ...]]
+    endpoints: tuple[tuple[str, str, str, str], ...]
 
     def __iter__(self) -> Iterator[Polynomial]:
         return iter(self.generators)
@@ -100,18 +106,26 @@ class GeneratorSet:
         return frozenset(self.generators)
 
 
-def _canonical_set(kind: str, items: Iterable[tuple[Polynomial, str]]) -> GeneratorSet:
-    acc: dict[Polynomial, list[str]] = {}
-    for poly, origin in items:
-        canon = poly.normalized_sign()
+def _canonical_set(
+    t: StagedTree, kind: str, items: Iterable[tuple[str, str, str, str, str]]
+) -> GeneratorSet:
+    """Canonical set of the differences p_[a]p_[b] - p_[c]p_[d] of the
+    items (a, b, c, d, origin); each generator keeps the endpoints of
+    the first item that produced it."""
+    acc: dict[Polynomial, tuple[tuple[str, str, str, str], list[str]]] = {}
+    for a, b, c, d, origin in items:
+        poly = bracket_difference(t, a, b, c, d)
+        canon = poly.normalized_sign()  # the same object unless negated
         if canon.is_zero():
             continue
-        acc.setdefault(canon, []).append(origin)
+        ends = (a, b, c, d) if canon is poly else (c, d, a, b)
+        acc.setdefault(canon, (ends, []))[1].append(origin)
     ordered = sorted(acc, key=polynomial_key, reverse=True)
     return GeneratorSet(
         kind=kind,
         generators=tuple(ordered),
-        provenance={g: tuple(acc[g]) for g in ordered},
+        provenance={g: tuple(acc[g][1]) for g in ordered},
+        endpoints=tuple(acc[g][0] for g in ordered),
     )
 
 
@@ -219,8 +233,8 @@ def model_quadrics(t: StagedTree) -> Iterator[tuple[str, str, str, str, Symbol]]
 
 def model_invariant_generators(t: StagedTree) -> GeneratorSet:
     """Odds-ratio quadrics p_[v]p_[w'] - p_[v']p_[w], one per pair and label."""
-    return _canonical_set("model", (
-        (bracket_difference(t, v, w1, v1, w), f"stage pair ({v}, {w}), label {s.name}")
+    return _canonical_set(t, "model", (
+        (v, w1, v1, w, f"stage pair ({v}, {w}), label {s.name}")
         for v, w, v1, w1, s in model_quadrics(t)
     ))
 
@@ -238,8 +252,8 @@ def stage_path_generators(t: StagedTree, v: str, w: str) -> list[Polynomial]:
 
 def paths_ideal_generators(t: StagedTree) -> GeneratorSet:
     """Union of the stage path generators over all same-stage pairs."""
-    return _canonical_set("paths", (
-        (path_difference(t, seed), f"{seed.origin}, paths {seed}")
+    return _canonical_set(t, "paths", (
+        (*seed.endpoints(), f"{seed.origin}, paths {seed}")
         for v, w in same_stage_pairs(t)
         for seed in stage_pair_seeds(t, v, w)
     ))
@@ -315,15 +329,14 @@ def _pair_sort_key(t: StagedTree, pair: PathPair) -> tuple[int, int, int, int]:
     return tuple(t.dfs_index(x) for x in pair.endpoints())  # type: ignore[return-value]
 
 
-def maximal_extensions(t: StagedTree, seed: PathPair) -> list[PathPair]:
-    """Maximal extensions of a seed under equal label products.
+def extension_candidates(t: StagedTree, seed: PathPair) -> list[tuple[str, str, str, str]]:
+    """Endpoint quadruples (a, b, c, d) that extend a seed, exhaustively.
 
-    The enumeration is exhaustive: each of the four endpoints descends
-    to any vertex reachable without revisiting its path, a candidate is
-    kept when the two paths gained edge sets with equal label products
-    (equality of monomials, so multi-edge completions with reordered
-    labels are found), and the maximal elements of the resulting partial
-    order are returned.
+    Each of the four endpoints descends to any vertex reachable without
+    revisiting its path; a quadruple is kept when the two paths gained
+    edge sets with equal label products (equality of monomials, so
+    multi-edge completions with reordered labels are found).  The seed's
+    own endpoints are always among them.
     """
     set1, set2 = set(seed.path1), set(seed.path2)
     heads1 = _completions(t, seed.head1, set1)
@@ -340,19 +353,40 @@ def maximal_extensions(t: StagedTree, seed: PathPair) -> list[PathPair]:
         for d, md in tails2:
             for a, b in first.get(mc * md, ()):
                 candidates.append((a, b, c, d))
+    return candidates
 
+
+def maximal_extensions(t: StagedTree, seed: PathPair) -> list[PathPair]:
+    """Maximal extensions of a seed under equal label products.
+
+    These are the maximal elements of ``extension_candidates``, where q
+    extends p when each endpoint of q descends from (or is) the same
+    endpoint of p, that is when each of q's atom intervals lies inside
+    p's.  Intervals nest or are disjoint, so with the candidates sorted
+    by their first interval only those whose first interval starts
+    inside p's first interval are compared with p.
+    """
+    candidates = extension_candidates(t, seed)
+    span = {}
+    for v in {x for p in candidates for x in p}:
+        atoms = t.atom_indices(v)
+        span[v] = (atoms.start, atoms.stop)
+    boxes = sorted(
+        (span[a] + span[b] + span[c] + span[d], (a, b, c, d))
+        for a, b, c, d in candidates
+    )
+    starts = [box[0] for box, _ in boxes]
     maximal = []
-    for p in candidates:
-        if not any(q != p and _extends(t, q, p) for q in candidates):
+    for (la, ha, lb, hb, lc, hc, ld, hd), p in boxes:
+        inside = boxes[bisect_left(starts, la):bisect_left(starts, ha)]
+        if not any(
+            ha2 <= ha and lb <= lb2 and hb2 <= hb and lc <= lc2 and hc2 <= hc
+            and ld <= ld2 and hd2 <= hd and q != p
+            for (_, ha2, lb2, hb2, lc2, hc2, ld2, hd2), q in inside
+        ):
             maximal.append(_extended_pair(t, seed, *p))
     maximal.sort(key=lambda pp: _pair_sort_key(t, pp))
     return maximal
-
-
-def _extends(
-    t: StagedTree, q: tuple[str, str, str, str], p: tuple[str, str, str, str]
-) -> bool:
-    return all(t.is_descendant_or_self(qx, px) for qx, px in zip(q, p))
 
 
 def maximal_extensions_stepwise(t: StagedTree, seed: PathPair) -> list[PathPair]:
@@ -390,8 +424,8 @@ def fully_extends(t: StagedTree, seed: PathPair) -> bool:
 
 def mpaths_generators(t: StagedTree) -> GeneratorSet:
     """Bracket differences of all maximal extensions of all seeds."""
-    return _canonical_set("mpaths", (
-        (path_difference(t, pair), f"{seed.origin}, seed {seed}, maximal {pair}")
+    return _canonical_set(t, "mpaths", (
+        (*pair.endpoints(), f"{seed.origin}, seed {seed}, maximal {pair}")
         for v, w in same_stage_pairs(t)
         for seed in stage_pair_seeds(t, v, w)
         for pair in maximal_extensions(t, seed)

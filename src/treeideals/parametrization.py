@@ -26,7 +26,7 @@ from .ideals import (
     paths_ideal_generators,
     same_stage_pairs,
 )
-from .polycore import Polynomial, Scalar, Symbol
+from .polycore import Monomial, Polynomial, Scalar, Symbol
 from .stagedtree import StagedTree
 
 
@@ -194,15 +194,60 @@ class ContainmentReport:
         return all(gen.is_binomial() for gen, _ in self.mpaths_toric_images)
 
 
+class BracketImages:
+    """Images of bracket quadrics p_[a]p_[b] - p_[c]p_[d], read per vertex.
+
+    phi(p_[v]) = L(v)*t(v), where L(v) is the label monomial from the
+    root to v.  The sum-to-one reduction red sends every t(v) to 1:
+    t(v) is the sum over v's edges of label*t(child), and the labels
+    leaving v are those of one stage, which red sends to a sum of 1.
+    red is a ring map, so with M1 = L(a)L(b) and M2 = L(c)L(d):
+
+        phi(quadric)      = M1*t(a)t(b) - M2*t(c)t(d)
+        red(phi(quadric)) = red(M1) - red(M2)
+
+    The reduced image is zero when M1 = M2, as it is for every
+    generator of the three sets, and is expanded only otherwise.  Both
+    images equal ``phi_toric_image`` and ``phi_image`` of the quadric,
+    for any four vertices of the tree.
+    """
+
+    def __init__(self, t: StagedTree):
+        self._t = t
+        self._reduction = SumToOneReduction.for_tree(t)
+        above = {t.root: Monomial.one()}
+        for v in t.vertices:  # depth-first pre-order: parents first
+            for e in t.children_of(v):
+                above[e.child] = above[v] * Monomial.of(e.label)
+        self._above = above
+
+    def toric(self, a: str, b: str, c: str, d: str) -> Polynomial:
+        """phi(p_[a]p_[b] - p_[c]p_[d]) in the full label ring."""
+        t, above = self._t, self._above
+        m1, m2 = above[a] * above[b], above[c] * above[d]
+        return (
+            Polynomial.term(1, m1) * t.t_polynomial(a) * t.t_polynomial(b)
+            - Polynomial.term(1, m2) * t.t_polynomial(c) * t.t_polynomial(d)
+        )
+
+    def reduced(self, a: str, b: str, c: str, d: str) -> Polynomial:
+        """red(phi(p_[a]p_[b] - p_[c]p_[d])); zero iff the quadric is in ker phi."""
+        above = self._above
+        m1, m2 = above[a] * above[b], above[c] * above[d]
+        if m1 == m2:
+            return Polynomial.zero()
+        return self._reduction.apply(Polynomial.term(1, m1) - Polynomial.term(1, m2))
+
+
 def containment_report(t: StagedTree) -> ContainmentReport:
     """Check every generator of every ideal against ker phi.
 
     A nonzero reduced image is a hard failure.  For the maximal-path
     generators the unreduced monomial image is recorded too: on a toric
     tree those must vanish and every generator must be a binomial.
+    Images come from the generators' bracket endpoints (``BracketImages``).
     """
-    reduction = SumToOneReduction.for_tree(t)
-    images = atom_images(t)
+    images = BracketImages(t)
     sets: list[GeneratorSet] = [
         model_invariant_generators(t),
         paths_ideal_generators(t),
@@ -213,13 +258,12 @@ def containment_report(t: StagedTree) -> ContainmentReport:
     toric_images: list[tuple[Polynomial, Polynomial]] = []
     for genset in sets:
         checked[genset.kind] = len(genset.generators)
-        for gen in genset.generators:
-            toric = gen.substitute(images)
-            image = reduction.apply(toric)
+        for gen, ends in zip(genset.generators, genset.endpoints):
+            image = images.reduced(*ends)
             if not image.is_zero():
                 failures.append((genset.kind, gen, image))
             if genset.kind == "mpaths":
-                toric_images.append((gen, toric))
+                toric_images.append((gen, images.toric(*ends)))
     return ContainmentReport(
         checked=checked,
         phi_failures=tuple(failures),

@@ -38,6 +38,10 @@ class Symbol:
     name: str
     kind: str
 
+    def __hash__(self) -> int:
+        # Symbols of one table differ in index; equality stays field-wise.
+        return self.index
+
     def __str__(self) -> str:
         return self.name
 

@@ -475,12 +475,20 @@ class StagedTree:
         return self.same_stage(v, w) and self.t_polynomial(v) == self.t_polynomial(w)
 
     def position_classes(self) -> tuple[tuple[str, ...], ...]:
-        """Stage classes refined by equality of t(v), internal vertices only."""
+        """Stage classes refined by equality of t(v), internal vertices only.
+
+        t(v) at all labels 1 is the number of atoms through v, so members
+        are first told apart by that count; t(v) is built only for
+        members that share their count with another member.
+        """
         out: list[tuple[str, ...]] = []
         for cls in self._classes:
-            groups: dict[Polynomial, list[str]] = {}
-            for v in cls.vertices:
-                groups.setdefault(self.t_polynomial(v), []).append(v)
+            counts = {v: len(self.atom_indices(v)) for v in cls.vertices}
+            shared = Counter(counts.values())
+            groups: dict[tuple[int, Polynomial | None], list[str]] = {}
+            for v, n in counts.items():
+                key = (n, self.t_polynomial(v) if shared[n] > 1 else None)
+                groups.setdefault(key, []).append(v)
             out.extend(tuple(members) for members in groups.values())
         return tuple(out)
 

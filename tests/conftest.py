@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from treeideals import StagedTree
+from treeideals import StagedTree, build_tree
 from treeideals.cli import parse_polynomial, parse_tree_document
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -32,6 +32,34 @@ def poly(t: StagedTree, text: str):
 def canonical(t: StagedTree, texts) -> frozenset:
     """Parse and sign-normalize a collection of polynomial strings."""
     return frozenset(poly(t, s).normalized_sign() for s in texts)
+
+
+def level_tree(k: int, d: int, relabel: bool = False) -> StagedTree:
+    """The k-ary tree of depth d with one stage per level.
+
+    With ``relabel`` the first vertex of the last interior level gets a
+    stage of its own, which breaks the balance of its parent's level.
+    """
+    vertices = []
+    frontier, counter = ["v0"], 1
+    for depth in range(d):
+        nxt = []
+        for pos, v in enumerate(frontier):
+            prefix = "y" if relabel and depth == d - 1 and pos == 0 else f"x{depth}_"
+            kids = [f"{'v' if depth < d - 1 else 'l'}{counter + i}" for i in range(k)]
+            counter += k
+            vertices.append((v, [(c, f"{prefix}{i}") for i, c in enumerate(kids)]))
+            nxt += kids
+        frontier = nxt
+    return build_tree(root="v0", vertices=vertices)
+
+
+def caterpillar_tree(n: int) -> StagedTree:
+    """A spine v0..v(n-1) in one stage {c1, c0}, each with one leaf child."""
+    return build_tree(root="v0", vertices=[
+        (f"v{i}", [(f"v{i + 1}" if i < n - 1 else f"e{i}", "c1"), (f"l{i}", "c0")])
+        for i in range(n)
+    ])
 
 
 @pytest.fixture(params=FIXTURE_NAMES)

@@ -23,7 +23,16 @@ from treeideals import (
     tree_path,
 )
 from treeideals.cli import parse_tree_document
-from conftest import canonical, load_fixture, poly, staged_classes_binary
+from treeideals.ideals import bracket_difference, extension_candidates, same_stage_pairs
+from conftest import (
+    FIXTURE_NAMES,
+    canonical,
+    caterpillar_tree,
+    level_tree,
+    load_fixture,
+    poly,
+    staged_classes_binary,
+)
 
 EXPECTED_DIMENSION = {
     "fig1_t1": 3, "fig1_t2": 3, "fig1_t3": 3,
@@ -40,6 +49,40 @@ REORDERED_TREE = """{"root": "v0", "vertices": [
     {"id": "v2", "edges": [{"to": "l3", "label": "a0"}, {"to": "v3", "label": "a1"}]},
     {"id": "v3", "edges": [{"to": "l4", "label": "s0"}, {"to": "l5", "label": "s1"}]}
 ]}"""
+
+
+def all_seeds(t):
+    for v, w in same_stage_pairs(t):
+        yield from stage_pair_seeds(t, v, w)
+
+
+def antichain_maximal(t, seed):
+    """Reference filter: the candidates that no other candidate extends,
+    comparing every pair of candidates endpoint by endpoint."""
+    candidates = extension_candidates(t, seed)
+
+    def extends(q, p):
+        return all(t.is_descendant_or_self(qx, px) for qx, px in zip(q, p))
+
+    maximal = [
+        p for p in candidates
+        if not any(q != p and extends(q, p) for q in candidates)
+    ]
+    return sorted(maximal, key=lambda p: tuple(t.dfs_index(x) for x in p))
+
+
+EXTENSION_TREES = {
+    "reordered": lambda: parse_tree_document(REORDERED_TREE),
+    "level2x3_relabel": lambda: level_tree(2, 3, relabel=True),
+    "caterpillar5": lambda: caterpillar_tree(5),
+}
+
+
+@pytest.fixture(params=FIXTURE_NAMES + sorted(EXTENSION_TREES))
+def extension_tree(request):
+    if request.param in EXTENSION_TREES:
+        return EXTENSION_TREES[request.param]()
+    return load_fixture(request.param)
 
 
 class TestTreePaths:
@@ -299,6 +342,12 @@ class TestExtensions:
                                     for x, y in zip(m1.endpoints(), m2.endpoints())
                                 )
 
+    def test_span_filter_matches_pairwise_reference(self, extension_tree):
+        t = extension_tree
+        for seed in all_seeds(t):
+            found = [m.endpoints() for m in maximal_extensions(t, seed)]
+            assert found == antichain_maximal(t, seed)
+
     def test_stepwise_and_exhaustive_agree_on_fixtures(self, any_tree):
         t = any_tree
         for cls in t.stage_classes():
@@ -326,6 +375,16 @@ class TestExtensions:
         ]
         assert maximal_extensions_stepwise(t, seed) == [seed]
         assert containment_report(t).ok
+
+
+class TestEndpoints:
+    def test_each_generator_is_its_bracket_difference(self, extension_tree):
+        t = extension_tree
+        for genset in (model_invariant_generators(t), paths_ideal_generators(t),
+                       mpaths_generators(t)):
+            assert len(genset.endpoints) == len(genset.generators)
+            for gen, ends in zip(genset.generators, genset.endpoints):
+                assert gen == bracket_difference(t, *ends)
 
 
 class TestMpaths:

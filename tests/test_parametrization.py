@@ -1,5 +1,6 @@
 """Ring maps, the subtree-polynomial condition, and toricity."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from treeideals import (
     ForeignSymbol,
     InvalidSimplexPoint,
+    Monomial,
     NotSameStage,
     Polynomial,
     SumToOneReduction,
@@ -16,18 +18,41 @@ from treeideals import (
     is_toric,
     model_invariant_generators,
     mpaths_generators,
+    paths_ideal_generators,
     phi_image,
     phi_toric_image,
     psi_evaluate,
     star_condition,
 )
-from conftest import load_fixture, poly
+from treeideals.ideals import bracket_difference
+from treeideals.parametrization import BracketImages
+from conftest import FIXTURE_NAMES, caterpillar_tree, level_tree, load_fixture, poly
 
 TORIC = {
     "fig1_t1", "fig1_t2", "fig1_t3", "fig2_t1",
     "fig4_tdec", "fig4_tpos", "star_example",
 }
 ALL_SAME_POSITION = {"fig1_t1", "fig1_t2", "fig1_t3", "fig2_t1", "fig4_tdec"}
+
+GENERATED = {
+    "level2x3": lambda: level_tree(2, 3),
+    "level2x3_relabel": lambda: level_tree(2, 3, relabel=True),
+    "level3x3_relabel": lambda: level_tree(3, 3, relabel=True),
+    "caterpillar5": lambda: caterpillar_tree(5),
+}
+
+
+@pytest.fixture(params=FIXTURE_NAMES + sorted(GENERATED))
+def image_tree(request):
+    if request.param in GENERATED:
+        return GENERATED[request.param]()
+    return load_fixture(request.param)
+
+
+def label_monomial(t, v):
+    """Product of the edge labels from the root down to v."""
+    atom = t.atoms[t.atom_indices(v)[0] - 1]
+    return Monomial((s, 1) for s in atom.labels[:t.depth_of(v)])
 
 
 class TestMonomialMap:
@@ -236,6 +261,53 @@ class TestContainment:
             report = containment_report(trees[name])
             assert not report.mpaths_in_toric_kernel, name
             assert not report.mpaths_all_binomial, name
+
+
+class TestBracketImages:
+    """Images read per vertex equal the term-by-term ring maps."""
+
+    def test_generator_images_match_term_by_term(self, image_tree):
+        t = image_tree
+        images = BracketImages(t)
+        failures, toric_images = [], []
+        for genset in (model_invariant_generators(t), paths_ideal_generators(t),
+                       mpaths_generators(t)):
+            for gen, ends in zip(genset.generators, genset.endpoints, strict=True):
+                reduced, toric = phi_image(t, gen), phi_toric_image(t, gen)
+                assert images.reduced(*ends) == reduced
+                assert images.toric(*ends) == toric
+                if not reduced.is_zero():
+                    failures.append((genset.kind, gen, reduced))
+                if genset.kind == "mpaths":
+                    toric_images.append((gen, toric))
+        report = containment_report(t)
+        assert report.phi_failures == tuple(failures)
+        assert report.mpaths_toric_images == tuple(toric_images)
+
+    def test_subtree_polynomials_reduce_to_one(self, image_tree):
+        t = image_tree
+        reduction = SumToOneReduction.for_tree(t)
+        for v in t.vertices:
+            assert reduction.apply(t.t_polynomial(v)) == Polynomial.one()
+
+    def test_other_quadrics_match_term_by_term(self, image_tree):
+        # Arbitrary vertex quadruples: the images need not vanish and the
+        # label monomials above the two products need not agree.
+        t = image_tree
+        images = BracketImages(t)
+        rng = random.Random(1802)
+        unequal_and_nonzero = 0
+        for _ in range(12):
+            a, b, c, d = (rng.choice(t.vertices) for _ in range(4))
+            quadric = bracket_difference(t, a, b, c, d)
+            reduced = phi_image(t, quadric)
+            assert images.reduced(a, b, c, d) == reduced
+            assert images.toric(a, b, c, d) == phi_toric_image(t, quadric)
+            above1 = label_monomial(t, a) * label_monomial(t, b)
+            above2 = label_monomial(t, c) * label_monomial(t, d)
+            if above1 != above2 and not reduced.is_zero():
+                unequal_and_nonzero += 1
+        assert unequal_and_nonzero
 
 
 class TestParametrizationMap:

@@ -40,6 +40,13 @@ def test_symbol_table_rejects_duplicates(table):
         table.lookup("missing")
 
 
+def test_symbol_hash_is_its_index(table):
+    x = table.new("x", ATOM)
+    y = SymbolTable().new("y", LABEL)
+    assert hash(x) == hash(y) == x.index == 0
+    assert x != y and len({x, y}) == 2
+
+
 def test_monomial_basics(xyz):
     x, y, z = xyz
     m = Monomial.of(x) * Monomial.of(y, 2)

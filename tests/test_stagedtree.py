@@ -5,6 +5,7 @@ import pytest
 from treeideals import (
     EdgeDef,
     Polynomial,
+    StagedTree,
     TreeDefinition,
     UnknownVertex,
     ValidationError,
@@ -12,7 +13,7 @@ from treeideals import (
     build_tree,
     validate_tree,
 )
-from conftest import FIXTURE_NAMES, load_fixture
+from conftest import FIXTURE_NAMES, caterpillar_tree, load_fixture
 
 
 def defn(root, vertices, atom_names=None):
@@ -285,6 +286,26 @@ class TestStages:
         shared = shared_children_tree()
         assert str(shared.t_polynomial("v")) == "s0^2 + 2*s0*s1 + s1^2"
         assert shared.position_classes() == (("v",), ("x", "y"))
+
+    def test_position_classes_group_by_subtree_polynomial(self, bracket_tree):
+        t = bracket_tree
+        expected = []
+        for cls in t.stage_classes():
+            groups = {}
+            for v in cls.vertices:
+                groups.setdefault(t.t_polynomial(v), []).append(v)
+            expected += [tuple(members) for members in groups.values()]
+        assert t.position_classes() == tuple(expected)
+
+    def test_position_classes_skip_unshared_atom_counts(self, monkeypatch):
+        # Spine vertices of a caterpillar have different atom counts, so
+        # no t(v) is needed to tell them apart.
+        def forbidden(self, v):
+            raise AssertionError(f"t({v}) built")
+
+        t = caterpillar_tree(6)
+        monkeypatch.setattr(StagedTree, "t_polynomial", forbidden)
+        assert t.position_classes() == tuple((f"v{i}",) for i in range(6))
 
     def test_star_example_positions(self):
         t = load_fixture("star_example")
