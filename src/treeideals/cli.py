@@ -41,7 +41,7 @@ from .ideals import (
 )
 from .model import membership, sample_theta
 from .parametrization import is_toric, psi_evaluate
-from .polycore import Polynomial, SymbolTable
+from .polycore import Monomial, Polynomial, SymbolTable
 from .stagedtree import (
     EdgeDef,
     StagedTree,
@@ -188,14 +188,14 @@ def parse_polynomial(text: str, table: SymbolTable) -> Polynomial:
                 value /= int(den)
             return Polynomial.constant(value)
         if re.match(r"[A-Za-z_]", tok):
-            base = Polynomial.variable(table.lookup(tok))
+            symbol = table.lookup(tok)
             if peek() == "^":
                 take()
                 exp = take()
                 if not exp.isdigit():
                     raise ParseError("polynomial: expected an integer exponent")
-                return base ** int(exp)
-            return base
+                return Polynomial.term(1, Monomial.of(symbol, int(exp)))
+            return Polynomial.variable(symbol)
         raise ParseError(f"polynomial: unexpected token {tok!r}")
 
     def parse_term() -> Polynomial:

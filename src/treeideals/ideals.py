@@ -10,10 +10,14 @@ symbols:
 * the maximal-path ideal: the same differences after extending each
   seed pair of paths as far as equal label products allow.
 
-Every generator set is canonicalized: sign-normalized so the leading
-coefficient is positive, deduplicated, zeros dropped, sorted descending
-in the term order.  Provenance records which stage pair and which paths
-produced each generator.
+Every generator p_[a]p_[b] - p_[c]p_[d] is a degree-2 form in the
+atoms with integer coefficients, because each bracket sums an interval
+of atoms; it is built as a table of atom-pair cells (``quadric_terms``)
+and turned into a ``Polynomial`` once.  Every generator set is
+canonicalized: sign-normalized so the leading coefficient is positive,
+deduplicated, zeros dropped, sorted descending in the term order.
+Provenance records which stage pair and which paths produced each
+generator.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import NotSameStage
-from .polycore import Monomial, Polynomial, Symbol, polynomial_key
+from .polycore import Monomial, Polynomial, Symbol
 from .stagedtree import StagedTree
 
 
@@ -88,13 +92,16 @@ class GeneratorSet:
     to the origins that produced it.
 
     ``endpoints`` holds one vertex quadruple (a, b, c, d) per generator,
-    in generator order, with gen == p_[a]p_[b] - p_[c]p_[d] exactly.
+    in generator order, with gen == p_[a]p_[b] - p_[c]p_[d] exactly;
+    ``tables`` holds each generator's ``quadric_terms`` table, in the
+    same order.
     """
 
     kind: str
     generators: tuple[Polynomial, ...]
     provenance: dict[Polynomial, tuple[str, ...]]
     endpoints: tuple[tuple[str, str, str, str], ...]
+    tables: tuple[QuadricTerms, ...]
 
     def __iter__(self) -> Iterator[Polynomial]:
         return iter(self.generators)
@@ -112,20 +119,113 @@ def _canonical_set(
     """Canonical set of the differences p_[a]p_[b] - p_[c]p_[d] of the
     items (a, b, c, d, origin); each generator keeps the endpoints of
     the first item that produced it."""
-    acc: dict[Polynomial, tuple[tuple[str, str, str, str], list[str]]] = {}
+    acc: dict[QuadricTerms, tuple[tuple[str, str, str, str], list[str]]] = {}
     for a, b, c, d, origin in items:
-        poly = bracket_difference(t, a, b, c, d)
-        canon = poly.normalized_sign()  # the same object unless negated
-        if canon.is_zero():
-            continue
-        ends = (a, b, c, d) if canon is poly else (c, d, a, b)
-        acc.setdefault(canon, (ends, []))[1].append(origin)
-    ordered = sorted(acc, key=polynomial_key, reverse=True)
+        terms, flipped = canonical_quadric(t, a, b, c, d)
+        if terms:
+            ends = (c, d, a, b) if flipped else (a, b, c, d)
+            acc.setdefault(terms, (ends, []))[1].append(origin)
+    tables = sorted(acc, key=quadric_key, reverse=True)
+    generators = quadric_polynomials(t, tables)
     return GeneratorSet(
         kind=kind,
-        generators=tuple(ordered),
-        provenance={g: tuple(acc[g][1]) for g in ordered},
-        endpoints=tuple(acc[g][0] for g in ordered),
+        generators=generators,
+        provenance={g: tuple(acc[k][1]) for g, k in zip(generators, tables)},
+        endpoints=tuple(acc[k][0] for k in tables),
+        tables=tuple(tables),
+    )
+
+
+# -- quadrics as atom-pair tables ---------------------------------------
+
+#: A degree-2 form in the atoms: ((hi, lo), coefficient) cells over 1-based
+#: atom indices hi >= lo, nonzero, ascending in (hi, lo).
+QuadricTerms = tuple[tuple[tuple[int, int], int], ...]
+
+
+def _minus(p: range, q: range) -> tuple[range, range]:
+    """The part of p below q and the part above it."""
+    return range(p.start, min(p.stop, q.start)), range(max(p.start, q.stop), p.stop)
+
+
+def _nonzero_cells(
+    t: StagedTree, a: str, b: str, c: str, d: str
+) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
+    """The nonzero cells of p_[a]p_[b] - p_[c]p_[d], ascending, and their
+    coefficients.
+
+    The quadric is the rectangle [a]x[b] of atom pairs minus [c]x[d],
+    folded onto hi >= lo; only the cells of one rectangle and not the
+    other are visited.
+    """
+    ia, ib, ic, id_ = (t.atom_indices(v) for v in (a, b, c, d))
+    both = range(max(ia.start, ic.start), min(ia.stop, ic.stop))
+    blocks = (
+        [(rows, ib, 1) for rows in _minus(ia, ic)]
+        + [(rows, id_, -1) for rows in _minus(ic, ia)]
+        + [(both, cols, 1) for cols in _minus(ib, id_)]
+        + [(both, cols, -1) for cols in _minus(id_, ib)]
+    )
+    cells: dict[tuple[int, int], int] = {}
+    for rows, cols, sign in blocks:
+        for i in rows:
+            for j in cols:
+                key = (i, j) if i >= j else (j, i)
+                cells[key] = cells.get(key, 0) + sign
+    return sorted(key for key, k in cells.items() if k), cells
+
+
+def quadric_terms(t: StagedTree, a: str, b: str, c: str, d: str) -> QuadricTerms:
+    """p_[a]p_[b] - p_[c]p_[d] as a table of atom-pair cells.
+
+    Atom symbols come after every label symbol and in atom order, so
+    ascending (hi, lo) is descending degrevlex order and the first cell
+    is the leading term.
+    """
+    keys, cells = _nonzero_cells(t, a, b, c, d)
+    return tuple([(key, cells[key]) for key in keys])
+
+
+def canonical_quadric(
+    t: StagedTree, a: str, b: str, c: str, d: str
+) -> tuple[QuadricTerms, bool]:
+    """``quadric_terms`` with a positive leading coefficient, and whether
+    the difference was negated to get there.
+
+    The table is built once with its sign applied, not negated as a
+    copy: membership builds one per failing quadric on every call.
+    """
+    keys, cells = _nonzero_cells(t, a, b, c, d)
+    sign = -1 if keys and cells[keys[0]] < 0 else 1
+    return tuple([(key, sign * cells[key]) for key in keys]), sign < 0
+
+
+def quadric_key(terms: QuadricTerms) -> tuple[int, ...]:
+    """Sort key of a table, ascending as ``compare_polynomials`` on its
+    polynomial: the cells as (-hi, -lo, k) triples, one after another.
+
+    Every cell has degree 2, so a larger (-hi, -lo) is a larger monomial,
+    and a run of triples compares as the pairs ((-hi, -lo), k) would.
+    """
+    return tuple([x for (hi, lo), k in terms for x in (-hi, -lo, k)])
+
+
+def quadric_polynomials(t: StagedTree, tables: Iterable[QuadricTerms]) -> tuple[Polynomial, ...]:
+    """The polynomial of each table, with one ``Monomial`` per atom pair."""
+    symbols = t.atom_symbols
+    monomials: dict[tuple[int, int], Monomial] = {}
+
+    def monomial(hi: int, lo: int) -> Monomial:
+        m = monomials.get((hi, lo))
+        if m is None:
+            s, r = symbols[hi - 1], symbols[lo - 1]
+            m = Monomial.of(s, 2) if hi == lo else Monomial(((r, 1), (s, 1)))
+            monomials[hi, lo] = m
+        return m
+
+    return tuple(
+        Polynomial.from_ordered((monomial(*pair), k) for pair, k in terms)
+        for terms in tables
     )
 
 
@@ -161,7 +261,7 @@ def _chain_up(t: StagedTree, v: str, ancestor: str) -> list[str]:
 
 
 def bracket_difference(t: StagedTree, a: str, b: str, c: str, d: str) -> Polynomial:
-    """The quadric p_[a]p_[b] - p_[c]p_[d]."""
+    """The quadric p_[a]p_[b] - p_[c]p_[d], by polynomial arithmetic."""
     return t.p_bracket(a) * t.p_bracket(b) - t.p_bracket(c) * t.p_bracket(d)
 
 
@@ -295,18 +395,18 @@ def _step_options(
 
 def _completions(
     t: StagedTree, endpoint: str, occupied: set[str]
-) -> list[tuple[str, Monomial]]:
+) -> list[tuple[str, tuple[int, ...]]]:
     """Descendants reachable from an endpoint without touching the path,
-    with the label product of the connecting chain.  Includes the
-    endpoint itself with product 1."""
-    out = [(endpoint, Monomial.one())]
-    stack: list[tuple[str, Monomial]] = [(endpoint, Monomial.one())]
+    with the label symbol indices of the connecting chain.  Includes the
+    endpoint itself with no labels."""
+    out: list[tuple[str, tuple[int, ...]]] = [(endpoint, ())]
+    stack = [(endpoint, ())]
     while stack:
-        v, mono = stack.pop()
+        v, labels = stack.pop()
         for e in t.children_of(v):
             if e.child in occupied:
                 continue
-            extended = mono * Monomial.of(e.label)
+            extended = labels + (e.label.index,)
             out.append((e.child, extended))
             stack.append((e.child, extended))
     return out
@@ -344,14 +444,15 @@ def extension_candidates(t: StagedTree, seed: PathPair) -> list[tuple[str, str, 
     heads2 = _completions(t, seed.head2, set2)
     tails2 = _completions(t, seed.tail2, set2)
 
-    first: dict[Monomial, list[tuple[str, str]]] = {}
+    # A label product is compared as its sorted tuple of symbol indices.
+    first: dict[tuple[int, ...], list[tuple[str, str]]] = {}
     for a, ma in heads1:
         for b, mb in tails1:
-            first.setdefault(ma * mb, []).append((a, b))
+            first.setdefault(tuple(sorted(ma + mb)), []).append((a, b))
     candidates: list[tuple[str, str, str, str]] = []
     for c, mc in heads2:
         for d, md in tails2:
-            for a, b in first.get(mc * md, ()):
+            for a, b in first.get(tuple(sorted(mc + md)), ()):
                 candidates.append((a, b, c, d))
     return candidates
 

@@ -19,8 +19,14 @@ from itertools import accumulate
 from typing import Sequence
 
 from .errors import InvalidSimplexPoint, LengthMismatch, ZeroDenominator
-from .ideals import bracket_difference, model_quadrics
-from .polycore import Polynomial, Scalar, Symbol, polynomial_key
+from .ideals import (
+    QuadricTerms,
+    canonical_quadric,
+    model_quadrics,
+    quadric_key,
+    quadric_polynomials,
+)
+from .polycore import Polynomial, Scalar, Symbol
 from .stagedtree import StagedTree
 
 
@@ -66,16 +72,16 @@ def membership(t: StagedTree, point: Sequence[Scalar]) -> MembershipVerdict:
     values = _as_fractions(t, point)
     in_simplex = sum(values) == 1 and all(x > 0 for x in values)
     b = _bracket_values(t, values)
-    failing: dict[Polynomial, Fraction] = {}
+    failing: dict[QuadricTerms, Fraction] = {}
     for v, w, v1, w1, _ in model_quadrics(t):
         value = b[v] * b[w1] - b[v1] * b[w]
         if value:
-            quadric = bracket_difference(t, v, w1, v1, w)
-            gen = quadric.normalized_sign()  # the same object unless negated
-            failing[gen] = value if gen is quadric else -value
+            terms, flipped = canonical_quadric(t, v, w1, v1, w)
+            failing[terms] = -value if flipped else value
+    tables = sorted(failing, key=quadric_key, reverse=True)
     failures = tuple(
-        (gen, failing[gen])
-        for gen in sorted(failing, key=polynomial_key, reverse=True)
+        (gen, failing[terms])
+        for gen, terms in zip(quadric_polynomials(t, tables), tables)
     )
     return MembershipVerdict(
         in_simplex=in_simplex,

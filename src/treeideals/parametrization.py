@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import ForeignSymbol, InvalidSimplexPoint, UnboundSymbol
 from .ideals import (
     GeneratorSet,
+    QuadricTerms,
     _aligned_children,
     model_invariant_generators,
     mpaths_generators,
@@ -195,7 +196,7 @@ class ContainmentReport:
 
 
 class BracketImages:
-    """Images of bracket quadrics p_[a]p_[b] - p_[c]p_[d], read per vertex.
+    """Images of bracket quadrics p_[a]p_[b] - p_[c]p_[d] under phi.
 
     phi(p_[v]) = L(v)*t(v), where L(v) is the label monomial from the
     root to v.  The sum-to-one reduction red sends every t(v) to 1:
@@ -203,40 +204,49 @@ class BracketImages:
     leaving v are those of one stage, which red sends to a sum of 1.
     red is a ring map, so with M1 = L(a)L(b) and M2 = L(c)L(d):
 
-        phi(quadric)      = M1*t(a)t(b) - M2*t(c)t(d)
         red(phi(quadric)) = red(M1) - red(M2)
 
     The reduced image is zero when M1 = M2, as it is for every
-    generator of the three sets, and is expanded only otherwise.  Both
-    images equal ``phi_toric_image`` and ``phi_image`` of the quadric,
-    for any four vertices of the tree.
+    generator of the three sets, and is expanded only otherwise.  The
+    monomial image is read off the quadric's atom-pair table instead:
+    phi(sum of k*p_i*p_j) = sum of k*m_i*m_j, with m_i the monomial of
+    atom i.  Label monomials are compared as sorted tuples of symbol
+    indices, and a ``Monomial`` is built only for a nonzero image.
     """
 
     def __init__(self, t: StagedTree):
-        self._t = t
+        self._symbols = tuple(t.table)  # by index
         self._reduction = SumToOneReduction.for_tree(t)
-        above = {t.root: Monomial.one()}
+        above: dict[str, tuple[int, ...]] = {t.root: ()}
         for v in t.vertices:  # depth-first pre-order: parents first
             for e in t.children_of(v):
-                above[e.child] = above[v] * Monomial.of(e.label)
+                above[e.child] = above[v] + (e.label.index,)
         self._above = above
+        self._atom_labels = tuple(above[a.leaf] for a in t.atoms)
 
-    def toric(self, a: str, b: str, c: str, d: str) -> Polynomial:
-        """phi(p_[a]p_[b] - p_[c]p_[d]) in the full label ring."""
-        t, above = self._t, self._above
-        m1, m2 = above[a] * above[b], above[c] * above[d]
-        return (
-            Polynomial.term(1, m1) * t.t_polynomial(a) * t.t_polynomial(b)
-            - Polynomial.term(1, m2) * t.t_polynomial(c) * t.t_polynomial(d)
-        )
+    def _monomial(self, indices: Iterable[int]) -> Monomial:
+        return Monomial((self._symbols[i], 1) for i in indices)
 
     def reduced(self, a: str, b: str, c: str, d: str) -> Polynomial:
         """red(phi(p_[a]p_[b] - p_[c]p_[d])); zero iff the quadric is in ker phi."""
         above = self._above
-        m1, m2 = above[a] * above[b], above[c] * above[d]
+        m1, m2 = sorted(above[a] + above[b]), sorted(above[c] + above[d])
         if m1 == m2:
             return Polynomial.zero()
-        return self._reduction.apply(Polynomial.term(1, m1) - Polynomial.term(1, m2))
+        return self._reduction.apply(
+            Polynomial.term(1, self._monomial(m1)) - Polynomial.term(1, self._monomial(m2))
+        )
+
+    def toric_image(self, terms: QuadricTerms) -> Polynomial:
+        """phi of a ``quadric_terms`` table, in the full label ring."""
+        labels = self._atom_labels
+        image: dict[tuple[int, ...], int] = {}
+        for (hi, lo), k in terms:
+            m = tuple(sorted(labels[hi - 1] + labels[lo - 1]))
+            image[m] = image.get(m, 0) + k
+        if not any(image.values()):
+            return Polynomial.zero()
+        return Polynomial((self._monomial(m), k) for m, k in image.items())
 
 
 def containment_report(t: StagedTree) -> ContainmentReport:
@@ -245,7 +255,8 @@ def containment_report(t: StagedTree) -> ContainmentReport:
     A nonzero reduced image is a hard failure.  For the maximal-path
     generators the unreduced monomial image is recorded too: on a toric
     tree those must vanish and every generator must be a binomial.
-    Images come from the generators' bracket endpoints (``BracketImages``).
+    Reduced images come from the generators' bracket endpoints and
+    monomial images from their atom-pair tables (``BracketImages``).
     """
     images = BracketImages(t)
     sets: list[GeneratorSet] = [
@@ -255,19 +266,20 @@ def containment_report(t: StagedTree) -> ContainmentReport:
     ]
     checked: dict[str, int] = {}
     failures: list[tuple[str, Polynomial, Polynomial]] = []
-    toric_images: list[tuple[Polynomial, Polynomial]] = []
     for genset in sets:
         checked[genset.kind] = len(genset.generators)
         for gen, ends in zip(genset.generators, genset.endpoints):
             image = images.reduced(*ends)
             if not image.is_zero():
                 failures.append((genset.kind, gen, image))
-            if genset.kind == "mpaths":
-                toric_images.append((gen, images.toric(*ends)))
+    mpaths = sets[-1]
     return ContainmentReport(
         checked=checked,
         phi_failures=tuple(failures),
-        mpaths_toric_images=tuple(toric_images),
+        mpaths_toric_images=tuple(
+            (gen, images.toric_image(terms))
+            for gen, terms in zip(mpaths.generators, mpaths.tables)
+        ),
     )
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import DuplicateSymbol, UnboundSymbol
@@ -184,8 +183,16 @@ def compare_monomials(a: Monomial, b: Monomial) -> int:
     return 0
 
 
-#: Sort key for monomials, ascending in the term order.
-monomial_key = cmp_to_key(compare_monomials)
+def monomial_key(m: Monomial) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Sort key for monomials, ascending in the term order.
+
+    Written as its symbol indices with multiplicity in descending order,
+    a monomial compares as that sequence with each index negated, after
+    the degree.  The key holds the sequence run-length encoded, each run
+    as (-index, -exponent), so it stays as short as ``powers`` however
+    large the exponents; it orders exactly as ``compare_monomials``.
+    """
+    return m.degree(), tuple((-s.index, -e) for s, e in reversed(m.powers))
 
 
 class Polynomial:
@@ -236,6 +243,15 @@ class Polynomial:
     @staticmethod
     def term(coefficient: Scalar, monomial: Monomial) -> Polynomial:
         return Polynomial(((monomial, Fraction(coefficient)),))
+
+    @staticmethod
+    def from_ordered(terms: Iterable[tuple[Monomial, Scalar]]) -> Polynomial:
+        """Polynomial of distinct monomials with nonzero coefficients,
+        given descending in the term order; neither is checked."""
+        ordered = tuple((m, Fraction(c)) for m, c in terms)
+        poly = _wrap(dict(ordered))
+        object.__setattr__(poly, "_ordered", ordered)
+        return poly
 
     # -- inspection ---------------------------------------------------
 
@@ -456,7 +472,7 @@ _ONE = Polynomial.constant(1)
 def compare_polynomials(a: Polynomial, b: Polynomial) -> int:
     """Total order on polynomials via their ordered term lists.
 
-    Used to sort generator sets deterministically; positive when a > b.
+    The reference order of generator sets; positive when a > b.
     """
     ta, tb = a.ordered_terms(), b.ordered_terms()
     for (ma, ca), (mb, cb) in zip(ta, tb):
@@ -470,5 +486,7 @@ def compare_polynomials(a: Polynomial, b: Polynomial) -> int:
     return 0
 
 
-#: Sort key for polynomials, ascending.
-polynomial_key = cmp_to_key(compare_polynomials)
+def polynomial_key(p: Polynomial) -> tuple:
+    """Sort key for polynomials, ascending as ``compare_polynomials``:
+    the (monomial key, coefficient) pairs of the ordered terms."""
+    return tuple((monomial_key(m), c) for m, c in p.ordered_terms())

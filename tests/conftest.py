@@ -1,5 +1,6 @@
 """Shared fixture loading and polynomial helpers for the test suite."""
 
+import random
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,27 @@ def caterpillar_tree(n: int) -> StagedTree:
     return build_tree(root="v0", vertices=[
         (f"v{i}", [(f"v{i + 1}" if i < n - 1 else f"e{i}", "c1"), (f"l{i}", "c0")])
         for i in range(n)
+    ])
+
+
+def random_tree(seed: int, n_interior: int) -> StagedTree:
+    """A seeded random shape, arities 2 and 3, equal arities in two stages.
+
+    Leaves are split into interior vertices at random, so brackets nest
+    at uneven depths; each vertex takes one of two stages of its arity.
+    """
+    rng = random.Random(seed)
+    kids: dict[str, list[str]] = {}
+    leaves, counter = ["v0"], 1
+    for _ in range(n_interior):
+        v = leaves.pop(rng.randrange(len(leaves)))
+        kids[v] = [f"v{counter + i}" for i in range(rng.choice((2, 3)))]
+        counter += len(kids[v])
+        leaves += kids[v]
+    return build_tree(root="v0", vertices=[
+        (v, [(c, f"s{len(cs)}{stage}_{i}") for i, c in enumerate(cs)])
+        for v, cs in kids.items()
+        for stage in [rng.randrange(2)]
     ])
 
 

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeideals import (
     ForeignSymbol,
@@ -24,9 +26,23 @@ from treeideals import (
     psi_evaluate,
     star_condition,
 )
-from treeideals.ideals import bracket_difference
+from treeideals.ideals import (
+    bracket_difference,
+    canonical_quadric,
+    quadric_key,
+    quadric_polynomials,
+    quadric_terms,
+)
 from treeideals.parametrization import BracketImages
-from conftest import FIXTURE_NAMES, caterpillar_tree, level_tree, load_fixture, poly
+from treeideals.polycore import compare_polynomials
+from conftest import (
+    FIXTURE_NAMES,
+    caterpillar_tree,
+    level_tree,
+    load_fixture,
+    poly,
+    random_tree,
+)
 
 TORIC = {
     "fig1_t1", "fig1_t2", "fig1_t3", "fig2_t1",
@@ -53,6 +69,16 @@ def label_monomial(t, v):
     """Product of the edge labels from the root down to v."""
     atom = t.atoms[t.atom_indices(v)[0] - 1]
     return Monomial((s, 1) for s in atom.labels[:t.depth_of(v)])
+
+
+def toric_by_brackets(t, a, b, c, d):
+    """Reference phi(p_[a]p_[b] - p_[c]p_[d]) from phi(p_[v]) = L(v)*t(v)."""
+    m1 = label_monomial(t, a) * label_monomial(t, b)
+    m2 = label_monomial(t, c) * label_monomial(t, d)
+    return (
+        Polynomial.term(1, m1) * t.t_polynomial(a) * t.t_polynomial(b)
+        - Polynomial.term(1, m2) * t.t_polynomial(c) * t.t_polynomial(d)
+    )
 
 
 class TestMonomialMap:
@@ -264,7 +290,7 @@ class TestContainment:
 
 
 class TestBracketImages:
-    """Images read per vertex equal the term-by-term ring maps."""
+    """Images read per vertex or per atom pair equal the term-by-term ring maps."""
 
     def test_generator_images_match_term_by_term(self, image_tree):
         t = image_tree
@@ -272,10 +298,12 @@ class TestBracketImages:
         failures, toric_images = [], []
         for genset in (model_invariant_generators(t), paths_ideal_generators(t),
                        mpaths_generators(t)):
-            for gen, ends in zip(genset.generators, genset.endpoints, strict=True):
+            for gen, ends, terms in zip(genset.generators, genset.endpoints,
+                                        genset.tables, strict=True):
                 reduced, toric = phi_image(t, gen), phi_toric_image(t, gen)
                 assert images.reduced(*ends) == reduced
-                assert images.toric(*ends) == toric
+                assert images.toric_image(terms) == toric
+                assert toric_by_brackets(t, *ends) == toric
                 if not reduced.is_zero():
                     failures.append((genset.kind, gen, reduced))
                 if genset.kind == "mpaths":
@@ -302,12 +330,71 @@ class TestBracketImages:
             quadric = bracket_difference(t, a, b, c, d)
             reduced = phi_image(t, quadric)
             assert images.reduced(a, b, c, d) == reduced
-            assert images.toric(a, b, c, d) == phi_toric_image(t, quadric)
+            toric = phi_toric_image(t, quadric)
+            assert images.toric_image(quadric_terms(t, a, b, c, d)) == toric
+            assert toric_by_brackets(t, a, b, c, d) == toric
             above1 = label_monomial(t, a) * label_monomial(t, b)
             above2 = label_monomial(t, c) * label_monomial(t, d)
             if above1 != above2 and not reduced.is_zero():
                 unequal_and_nonzero += 1
         assert unequal_and_nonzero
+
+
+QUADRIC_TREES = {
+    **{name: load_fixture(name) for name in FIXTURE_NAMES},
+    **{name: build() for name, build in GENERATED.items()},
+    "caterpillar9": caterpillar_tree(9),
+    **{f"random{seed}": random_tree(seed, 7) for seed in range(4)},
+}
+
+
+@st.composite
+def quadrics(draw):
+    """A tree and two vertex quadruples (a, b, c, d) of it; the first may
+    repeat a bracket (a == c), cancel (c, d = a, b or b, a) or nest."""
+    t = QUADRIC_TREES[draw(st.sampled_from(sorted(QUADRIC_TREES)))]
+    vertex = st.sampled_from(t.vertices)
+    ends = [tuple(draw(vertex) for _ in range(4)) for _ in range(2)]
+    a, b, c, d = ends[0]
+    shape = draw(st.sampled_from(("free", "a=c", "same", "swapped", "nested")))
+    if shape == "a=c":
+        c = a
+    elif shape == "same":
+        c, d = a, b
+    elif shape == "swapped":
+        c, d = b, a
+    elif shape == "nested":
+        c = draw(st.sampled_from([x for x in t.vertices if t.is_descendant_or_self(x, a)]))
+        d = draw(st.sampled_from([x for x in t.vertices if t.is_descendant_or_self(b, x)]))
+    ends[0] = (a, b, c, d)
+    return t, ends
+
+
+class TestQuadricTables:
+    """``quadric_terms`` tables against polynomial arithmetic and phi."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(quadrics())
+    def test_table_is_the_bracket_difference(self, case):
+        t, ends = case
+        quadric = bracket_difference(t, *ends[0])
+        terms = quadric_terms(t, *ends[0])
+        (built,) = quadric_polynomials(t, [terms])
+        assert built == quadric
+        assert built.ordered_terms() == quadric.ordered_terms()
+        assert BracketImages(t).toric_image(terms) == phi_toric_image(t, quadric)
+        canon, flipped = canonical_quadric(t, *ends[0])
+        assert quadric_polynomials(t, [canon]) == (quadric.normalized_sign(),)
+        assert flipped == (quadric.normalized_sign() != quadric)
+
+    @settings(max_examples=200, deadline=None)
+    @given(quadrics())
+    def test_table_key_orders_as_compare_polynomials(self, case):
+        t, ends = case
+        tables = [quadric_terms(t, *e) for e in ends]
+        f, g = quadric_polynomials(t, tables)
+        k, m = (quadric_key(x) for x in tables)
+        assert (k > m) - (k < m) == max(-1, min(1, compare_polynomials(f, g)))
 
 
 class TestParametrizationMap:

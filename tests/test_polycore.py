@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, ordering, and rendering."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +16,18 @@ from treeideals.polycore import (
     Polynomial,
     SymbolTable,
     compare_monomials,
+    compare_polynomials,
     monomial_key,
+    polynomial_key,
 )
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _key_order(a, b) -> int:
+    return (a > b) - (a < b)
 
 
 @pytest.fixture
@@ -69,6 +80,25 @@ def test_degrevlex_earlier_symbol_is_larger(xyz):
     xz = Monomial.of(x) * Monomial.of(z)
     yz = Monomial.of(y) * Monomial.of(z)
     assert sorted([yz, xy, xz], key=monomial_key, reverse=True) == [xy, xz, yz]
+
+
+def test_monomial_key_orders_as_compare_monomials():
+    table = SymbolTable()
+    syms = [table.new(f"x{k}", ATOM) for k in range(5)]
+    monos = [
+        Monomial((s, 1) for s in combo)
+        for d in range(4)
+        for combo in combinations_with_replacement(syms, d)
+    ]
+    assert len(set(monos)) == 56
+    for a in monos:
+        for b in monos:
+            assert _key_order(monomial_key(a), monomial_key(b)) == _sign(compare_monomials(a, b))
+
+
+def test_monomial_key_is_as_short_as_the_powers(xyz):
+    x, y, _ = xyz
+    assert monomial_key(Monomial.of(x, 10**6) * Monomial.of(y)) == (10**6 + 1, ((-1, -1), (0, -10**6)))
 
 
 def test_polynomial_arithmetic(xyz):
@@ -136,6 +166,18 @@ def test_rendering(xyz):
     assert str(-px) == "-x"
     assert str(px * px * py * 3 - Fraction(1, 2)) == "3*x^2*y - 1/2"
     assert str(Polynomial.constant(Fraction(-3, 4))) == "-3/4"
+
+
+def test_parse_power_builds_one_term(table, monkeypatch):
+    x = table.new("p1", ATOM)
+
+    def forbidden(*args):
+        raise AssertionError("a power was parsed by multiplying")
+
+    monkeypatch.setattr(Polynomial, "__mul__", forbidden)
+    f = parse_polynomial("p1^1000000", table)
+    assert list(f.terms()) == [(Monomial.of(x, 1000000), 1)]
+    assert parse_polynomial("p1^0", table) == Polynomial.one()
 
 
 def test_parse_round_trip_simple(table):
@@ -224,3 +266,10 @@ def test_sign_normalization_idempotent_and_consistent(f):
     lead = n.leading()
     if lead is not None:
         assert lead[1] > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _polys)
+def test_polynomial_key_orders_as_compare_polynomials(f, g):
+    assert _key_order(polynomial_key(f), polynomial_key(g)) == _sign(compare_polynomials(f, g))
+    assert _key_order(polynomial_key(f), polynomial_key(f + g)) == _sign(compare_polynomials(f, f + g))
