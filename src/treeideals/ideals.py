@@ -51,31 +51,18 @@ class SeedOrigin:
 
 @dataclass(frozen=True, slots=True)
 class PathPair:
-    """Two vertex-to-vertex paths, stored as full vertex sequences.
+    """Two vertex-to-vertex paths, each fixed by its two endpoints.
 
-    The convention throughout: the difference polynomial of the pair is
-    head1*tail1 - head2*tail2, each factor a bracket sum.
+    A path in a tree is determined by its ends; ``tree_path`` gives its
+    vertices.  The convention throughout: the difference polynomial of
+    the pair is head1*tail1 - head2*tail2, each factor a bracket sum.
     """
 
-    path1: tuple[str, ...]
-    path2: tuple[str, ...]
+    head1: str
+    tail1: str
+    head2: str
+    tail2: str
     origin: SeedOrigin | None = None
-
-    @property
-    def head1(self) -> str:
-        return self.path1[0]
-
-    @property
-    def tail1(self) -> str:
-        return self.path1[-1]
-
-    @property
-    def head2(self) -> str:
-        return self.path2[0]
-
-    @property
-    def tail2(self) -> str:
-        return self.path2[-1]
 
     def endpoints(self) -> tuple[str, str, str, str]:
         return (self.head1, self.tail1, self.head2, self.tail2)
@@ -252,14 +239,6 @@ def _chain_to_root(t: StagedTree, v: str) -> list[str]:
     return out
 
 
-def _chain_up(t: StagedTree, v: str, ancestor: str) -> list[str]:
-    """Vertices from v up to ancestor, both inclusive."""
-    out = [v]
-    while out[-1] != ancestor:
-        out.append(t.parent_of(out[-1]).parent)
-    return out
-
-
 def bracket_difference(t: StagedTree, a: str, b: str, c: str, d: str) -> Polynomial:
     """The quadric p_[a]p_[b] - p_[c]p_[d], by polynomial arithmetic."""
     return t.p_bracket(a) * t.p_bracket(b) - t.p_bracket(c) * t.p_bracket(d)
@@ -309,11 +288,7 @@ def stage_pair_seeds(t: StagedTree, v: str, w: str) -> tuple[PathPair, ...]:
             s_i, v_i, w_i = aligned[i]
             s_j, v_j, w_j = aligned[j]
             origin = SeedOrigin(v, w, i + 1, j + 1, s_i.name, s_j.name)
-            seeds.append(PathPair(
-                path1=tree_path(t, v_i, w_j),
-                path2=tree_path(t, w_i, v_j),
-                origin=origin,
-            ))
+            seeds.append(PathPair(v_i, w_j, w_i, v_j, origin))
     return tuple(seeds)
 
 
@@ -370,59 +345,46 @@ def extend_pair(t: StagedTree, pair: PathPair) -> list[PathPair]:
     endpoint may not revisit its path.
     """
     out: list[PathPair] = []
-    set1, set2 = set(pair.path1), set(pair.path2)
-    first_options = _step_options(t, pair.path1, set1)
-    second_options = _step_options(t, pair.path2, set2)
-    for new_path1, label1 in first_options:
-        for new_path2, label2 in second_options:
+    first_options = _step_options(t, pair.head1, pair.tail1)
+    second_options = _step_options(t, pair.head2, pair.tail2)
+    for (a, b), label1 in first_options:
+        for (c, d), label2 in second_options:
             if label1 == label2:
-                out.append(PathPair(new_path1, new_path2, pair.origin))
+                out.append(PathPair(a, b, c, d, pair.origin))
     return out
 
 
 def _step_options(
-    t: StagedTree, path: tuple[str, ...], occupied: set[str]
-) -> list[tuple[tuple[str, ...], Symbol]]:
+    t: StagedTree, head: str, tail: str
+) -> list[tuple[tuple[str, str], Symbol]]:
+    occupied = set(tree_path(t, head, tail))
     options = []
-    for e in t.children_of(path[0]):
+    for e in t.children_of(head):
         if e.child not in occupied:
-            options.append(((e.child,) + path, e.label))
-    for e in t.children_of(path[-1]):
+            options.append(((e.child, tail), e.label))
+    for e in t.children_of(tail):
         if e.child not in occupied:
-            options.append((path + (e.child,), e.label))
+            options.append(((head, e.child), e.label))
     return options
 
 
-def _completions(
-    t: StagedTree, endpoint: str, occupied: set[str]
-) -> list[tuple[str, tuple[int, ...]]]:
-    """Descendants reachable from an endpoint without touching the path,
-    with the label symbol indices of the connecting chain.  Includes the
-    endpoint itself with no labels."""
+def _completions(t: StagedTree, endpoint: str, other: str) -> list[tuple[str, tuple[int, ...]]]:
+    """Descendants of an endpoint off its path to ``other``, each with the
+    label symbol indices of the chain down to it.  Includes the endpoint
+    itself with no labels.
+
+    The only path vertices below an endpoint lie on the way down to the
+    other end, so the child whose atom interval contains ``other``'s is
+    skipped.
+    """
+    depth = t.depth_of(endpoint)
     out: list[tuple[str, tuple[int, ...]]] = [(endpoint, ())]
-    stack = [(endpoint, ())]
+    stack = [e.child for e in t.children_of(endpoint) if not t.is_descendant_or_self(other, e.child)]
     while stack:
-        v, labels = stack.pop()
-        for e in t.children_of(v):
-            if e.child in occupied:
-                continue
-            extended = labels + (e.label.index,)
-            out.append((e.child, extended))
-            stack.append((e.child, extended))
+        v = stack.pop()
+        out.append((v, t.label_word(v)[depth:]))
+        stack.extend(e.child for e in t.children_of(v))
     return out
-
-
-def _extended_pair(
-    t: StagedTree, pair: PathPair, a: str, b: str, c: str, d: str
-) -> PathPair:
-    """Rebuild the full vertex sequences for endpoint completions a..d."""
-    up1 = _chain_up(t, a, pair.head1)      # a up to head1
-    down1 = _chain_up(t, b, pair.tail1)    # b up to tail1
-    path1 = tuple(up1[:-1]) + pair.path1 + tuple(reversed(down1[:-1]))
-    up2 = _chain_up(t, c, pair.head2)
-    down2 = _chain_up(t, d, pair.tail2)
-    path2 = tuple(up2[:-1]) + pair.path2 + tuple(reversed(down2[:-1]))
-    return PathPair(path1, path2, pair.origin)
 
 
 def _pair_sort_key(t: StagedTree, pair: PathPair) -> tuple[int, int, int, int]:
@@ -438,11 +400,10 @@ def extension_candidates(t: StagedTree, seed: PathPair) -> list[tuple[str, str, 
     multi-edge completions with reordered labels are found).  The seed's
     own endpoints are always among them.
     """
-    set1, set2 = set(seed.path1), set(seed.path2)
-    heads1 = _completions(t, seed.head1, set1)
-    tails1 = _completions(t, seed.tail1, set1)
-    heads2 = _completions(t, seed.head2, set2)
-    tails2 = _completions(t, seed.tail2, set2)
+    heads1 = _completions(t, seed.head1, seed.tail1)
+    tails1 = _completions(t, seed.tail1, seed.head1)
+    heads2 = _completions(t, seed.head2, seed.tail2)
+    tails2 = _completions(t, seed.tail2, seed.head2)
 
     # A label product is compared as its sorted tuple of symbol indices.
     first: dict[tuple[int, ...], list[tuple[str, str]]] = {}
@@ -485,7 +446,7 @@ def maximal_extensions(t: StagedTree, seed: PathPair) -> list[PathPair]:
             and ld <= ld2 and hd2 <= hd and q != p
             for (_, ha2, lb2, hb2, lc2, hc2, ld2, hd2), q in inside
         ):
-            maximal.append(_extended_pair(t, seed, *p))
+            maximal.append(PathPair(*p, seed.origin))
     maximal.sort(key=lambda pp: _pair_sort_key(t, pp))
     return maximal
 

@@ -13,9 +13,10 @@ image is zero.  No ideal-membership machinery is needed anywhere.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import ForeignSymbol, InvalidSimplexPoint, UnboundSymbol
 from .ideals import (
@@ -86,6 +87,15 @@ def phi_image(t: StagedTree, f: Polynomial) -> Polynomial:
     return SumToOneReduction.for_tree(t).apply(phi_toric_image(t, f))
 
 
+def word_polynomial(t: StagedTree, counts: Mapping[tuple[int, ...], int]) -> Polynomial:
+    """The sum of k times the label product of w, over the label words
+    w -> k of ``counts`` (see ``StagedTree.label_word``)."""
+    labels = t.label_symbols
+    return Polynomial(
+        (Monomial((labels[i], 1) for i in word), k) for word, k in counts.items()
+    )
+
+
 # -- condition on subtree polynomials ----------------------------------
 
 
@@ -119,20 +129,36 @@ def star_condition(t: StagedTree, v: str, w: str) -> StarResult:
     """Check t(v_i)t(w_j) = t(w_i)t(v_j) in the plain label ring.
 
     The products are compared without any sum-to-one reduction; every
-    failing aligned index pair is returned as a witness.
+    failing aligned index pair is returned as a witness.  t(x) is held
+    as the counts of the sorted label words below x of the atoms through
+    x, and a ``Polynomial`` is built only for a nonzero difference.
     """
     aligned = _aligned_children(t, v, w)
+    below: dict[str, Counter[tuple[int, ...]]] = {}
+
+    def t_words(x: str) -> Counter[tuple[int, ...]]:
+        if x not in below:
+            depth = t.depth_of(x)
+            below[x] = Counter(
+                tuple(sorted(t.label_word(t.atoms[k - 1].leaf)[depth:]))
+                for k in t.atom_indices(x)
+            )
+        return below[x]
+
     witnesses: list[StarWitness] = []
     for i in range(len(aligned)):
         for j in range(i + 1, len(aligned)):
             s_i, v_i, w_i = aligned[i]
             s_j, v_j, w_j = aligned[j]
-            difference = (
-                t.t_polynomial(v_i) * t.t_polynomial(w_j)
-                - t.t_polynomial(w_i) * t.t_polynomial(v_j)
-            )
-            if not difference.is_zero():
-                witnesses.append(StarWitness(i + 1, j + 1, s_i.name, s_j.name, difference))
+            difference: Counter[tuple[int, ...]] = Counter()
+            for x, y, sign in ((v_i, w_j, 1), (w_i, v_j, -1)):
+                for m, k in t_words(x).items():
+                    for n, l in t_words(y).items():
+                        difference[tuple(sorted(m + n))] += sign * k * l
+            if any(difference.values()):
+                witnesses.append(StarWitness(
+                    i + 1, j + 1, s_i.name, s_j.name, word_polynomial(t, difference)
+                ))
     return StarResult(v, w, not witnesses, tuple(witnesses))
 
 
@@ -151,22 +177,20 @@ def is_toric(t: StagedTree) -> ToricityVerdict:
     """Decide toricity: the condition must hold for every staged pair.
 
     Also reports the sufficient fast path (all same-stage pairs being
-    same-position forces toricity; the converse fails in general).
+    same-position forces toricity; the converse fails in general): it
+    holds when no stage class splits into several positions.
     """
     failures: list[StarResult] = []
-    all_positions = True
     checked = 0
     for v, w in same_stage_pairs(t):
         checked += 1
-        if not t.same_position(v, w):
-            all_positions = False
         result = star_condition(t, v, w)
         if not result.holds:
             failures.append(result)
     return ToricityVerdict(
         toric=not failures,
         failures=tuple(failures),
-        all_same_position=all_positions,
+        all_same_position=len(t.position_classes()) == len(t.stage_classes()),
         checked_pairs=checked,
     )
 
@@ -210,43 +234,32 @@ class BracketImages:
     generator of the three sets, and is expanded only otherwise.  The
     monomial image is read off the quadric's atom-pair table instead:
     phi(sum of k*p_i*p_j) = sum of k*m_i*m_j, with m_i the monomial of
-    atom i.  Label monomials are compared as sorted tuples of symbol
-    indices, and a ``Monomial`` is built only for a nonzero image.
+    atom i.  L(v) is the label word of v, label monomials are compared
+    as sorted words, and a ``Monomial`` is built only for a nonzero
+    image.
     """
 
     def __init__(self, t: StagedTree):
-        self._symbols = tuple(t.table)  # by index
+        self._tree = t
         self._reduction = SumToOneReduction.for_tree(t)
-        above: dict[str, tuple[int, ...]] = {t.root: ()}
-        for v in t.vertices:  # depth-first pre-order: parents first
-            for e in t.children_of(v):
-                above[e.child] = above[v] + (e.label.index,)
-        self._above = above
-        self._atom_labels = tuple(above[a.leaf] for a in t.atoms)
-
-    def _monomial(self, indices: Iterable[int]) -> Monomial:
-        return Monomial((self._symbols[i], 1) for i in indices)
 
     def reduced(self, a: str, b: str, c: str, d: str) -> Polynomial:
         """red(phi(p_[a]p_[b] - p_[c]p_[d])); zero iff the quadric is in ker phi."""
-        above = self._above
-        m1, m2 = sorted(above[a] + above[b]), sorted(above[c] + above[d])
+        word = self._tree.label_word
+        m1, m2 = tuple(sorted(word(a) + word(b))), tuple(sorted(word(c) + word(d)))
         if m1 == m2:
             return Polynomial.zero()
-        return self._reduction.apply(
-            Polynomial.term(1, self._monomial(m1)) - Polynomial.term(1, self._monomial(m2))
-        )
+        return self._reduction.apply(word_polynomial(self._tree, {m1: 1, m2: -1}))
 
     def toric_image(self, terms: QuadricTerms) -> Polynomial:
         """phi of a ``quadric_terms`` table, in the full label ring."""
-        labels = self._atom_labels
-        image: dict[tuple[int, ...], int] = {}
+        t = self._tree
+        image: Counter[tuple[int, ...]] = Counter()
         for (hi, lo), k in terms:
-            m = tuple(sorted(labels[hi - 1] + labels[lo - 1]))
-            image[m] = image.get(m, 0) + k
-        if not any(image.values()):
-            return Polynomial.zero()
-        return Polynomial((self._monomial(m), k) for m, k in image.items())
+            image[tuple(sorted(
+                t.label_word(t.atoms[hi - 1].leaf) + t.label_word(t.atoms[lo - 1].leaf)
+            ))] += k
+        return word_polynomial(t, image)
 
 
 def containment_report(t: StagedTree) -> ContainmentReport:

@@ -254,7 +254,7 @@ class StagedTree:
         "definition", "table", "root", "vertices", "internal_vertices",
         "leaves", "atoms", "atom_symbols", "label_symbols",
         "_children", "_parent_edge", "_depth", "_order", "_span",
-        "_p_bracket", "_t_poly", "_classes", "_class_of", "_atom_by_name",
+        "_p_bracket", "_t_poly", "_word", "_classes", "_class_of", "_atom_by_name",
     )
 
     def __init__(self, definition: TreeDefinition):
@@ -339,6 +339,7 @@ class StagedTree:
         self._span = span
         self._p_bracket: dict[str, Polynomial] = {}
         self._t_poly: dict[str, Polynomial] = {}
+        self._word: dict[str, tuple[int, ...]] = {}
 
         # Stage partition of the internal vertices, keyed by label set;
         # classes ordered by first member, members in depth-first order.
@@ -410,9 +411,6 @@ class StagedTree:
 
     # -- atoms and brackets -------------------------------------------
 
-    def enumerate_atoms(self) -> tuple[Atom, ...]:
-        return self.atoms
-
     def atom_by_name(self, name: str) -> Atom:
         try:
             return self._atom_by_name[name]
@@ -436,19 +434,31 @@ class StagedTree:
             )
         return self._p_bracket[v]
 
+    def label_word(self, v: str) -> tuple[int, ...]:
+        """Label symbol indices on the path from the root down to v.
+
+        Every atom through v starts with this path, so the word is read
+        off the first of them.  Labels are numbered before the atoms, so
+        index i is ``label_symbols[i]``.  Built on first use.
+        """
+        word = self._word.get(v)
+        if word is None:
+            self._require(v)
+            atom = self.atoms[self._span[v][0] - 1]
+            word = self._word[v] = tuple(s.index for s in atom.labels[:self._depth[v]])
+        return word
+
     def t_polynomial(self, v: str) -> Polynomial:
         """Sum over v-to-leaf paths of their edge label products.
 
-        Each such path ends one atom through v, so its product is that
-        atom's monomial with the labels above v divided out.  Built on
-        first use.
+        Each such path is the part below v of one atom through v.  Built
+        on first use.
         """
         if v not in self._t_poly:
-            atoms = [self.atoms[i - 1] for i in self.atom_indices(v)]
-            above = Counter(atoms[0].labels[:self._depth[v]])
+            depth = self._depth[v]
             self._t_poly[v] = Polynomial(
-                (Monomial((s, e - above[s]) for s, e in a.monomial.powers), 1)
-                for a in atoms
+                (Monomial((s, 1) for s in self.atoms[i - 1].labels[depth:]), 1)
+                for i in self.atom_indices(v)
             )
         return self._t_poly[v]
 

@@ -84,8 +84,27 @@ def random_tree(seed: int, n_interior: int) -> StagedTree:
     ])
 
 
+#: Generated shapes for property tests: balanced levels, a broken level,
+#: a deep spine and random trees with uneven brackets.
+GENERATED_TREES = {
+    "level2x3": lambda: level_tree(2, 3),
+    "level3x2": lambda: level_tree(3, 2),
+    "level2x4_relabel": lambda: level_tree(2, 4, relabel=True),
+    "caterpillar6": lambda: caterpillar_tree(6),
+    **{f"random{seed}": (lambda seed=seed: random_tree(seed, 9)) for seed in range(8)},
+}
+
+
 @pytest.fixture(params=FIXTURE_NAMES)
 def any_tree(request) -> StagedTree:
+    return load_fixture(request.param)
+
+
+@pytest.fixture(params=FIXTURE_NAMES + sorted(GENERATED_TREES))
+def property_tree(request) -> StagedTree:
+    """Every fixture and every generated tree."""
+    if request.param in GENERATED_TREES:
+        return GENERATED_TREES[request.param]()
     return load_fixture(request.param)
 
 

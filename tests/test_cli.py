@@ -423,12 +423,14 @@ class TestExport:
 
 
 class TestLazyCompile:
-    """Compiling a tree, and commands that need no generator set, do no
-    polynomial arithmetic."""
+    """Compiling a tree, the commands that need no generator set, the
+    toricity test and the generator sets do no polynomial arithmetic."""
 
     @pytest.mark.parametrize("argv", [
         ["validate"], ["atoms"], ["dim"], ["sample"], ["positions"],
-        ["export", "--format", "tree"],
+        ["export", "--format", "tree"], ["toric"],
+        *(pytest.param(["generators", "--ideal", ideal], id=f"generators-{ideal}")
+          for ideal in ("model", "paths", "mpaths")),
     ], ids=lambda argv: argv[0])
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_no_polynomial_arithmetic(self, capsys, monkeypatch, name, argv):

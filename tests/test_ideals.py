@@ -71,6 +71,38 @@ def antichain_maximal(t, seed):
     return sorted(maximal, key=lambda p: tuple(t.dfs_index(x) for x in p))
 
 
+def candidates_by_paths(t, seed):
+    """Reference for ``extension_candidates``: each endpoint descends to
+    any vertex whose chain avoids every vertex of the endpoint's path,
+    with the label products compared as sorted label lists."""
+
+    def completions(endpoint, path):
+        occupied = set(path)
+        out, stack = [(endpoint, ())], [(endpoint, ())]
+        while stack:
+            v, labels = stack.pop()
+            for e in t.children_of(v):
+                if e.child not in occupied:
+                    out.append((e.child, labels + (e.label.index,)))
+                    stack.append(out[-1])
+        return out
+
+    path1 = tree_path(t, seed.head1, seed.tail1)
+    path2 = tree_path(t, seed.head2, seed.tail2)
+    return {
+        (a, b, c, d)
+        for a, ma in completions(seed.head1, path1)
+        for b, mb in completions(seed.tail1, path1)
+        for c, mc in completions(seed.head2, path2)
+        for d, md in completions(seed.tail2, path2)
+        if sorted(ma + mb) == sorted(mc + md)
+    }
+
+
+def contains_run(path, run):
+    return any(path[k:k + len(run)] == run for k in range(len(path) - len(run) + 1))
+
+
 EXTENSION_TREES = {
     "reordered": lambda: parse_tree_document(REORDERED_TREE),
     "level2x3_relabel": lambda: level_tree(2, 3, relabel=True),
@@ -113,8 +145,8 @@ class TestSeeds:
         assert first.origin.v == "v1" and first.origin.w == "v2"
         assert (first.origin.i, first.origin.j) == (1, 2)
         assert (first.origin.label_i, first.origin.label_j) == ("tau0", "tau1")
-        assert first.path1 == ("l1", "v1", "v0", "v2", "l5")
-        assert first.path2 == ("l4", "v2", "v0", "v1", "l2")
+        assert tree_path(t, first.head1, first.tail1) == ("l1", "v1", "v0", "v2", "l5")
+        assert tree_path(t, first.head2, first.tail2) == ("l4", "v2", "v0", "v1", "l2")
         assert first.endpoints() == ("l1", "l5", "l4", "l2")
 
     def test_alignment_is_by_label_not_declaration_position(self):
@@ -375,6 +407,30 @@ class TestExtensions:
         ]
         assert maximal_extensions_stepwise(t, seed) == [seed]
         assert containment_report(t).ok
+
+
+class TestExtensionProperties:
+    """Extensions read off the four endpoints, over fixtures and
+    generated trees."""
+
+    def test_candidates_match_the_path_vertex_reference(self, property_tree):
+        t = property_tree
+        for seed in all_seeds(t):
+            found = extension_candidates(t, seed)
+            assert len(found) == len(set(found))
+            assert set(found) == candidates_by_paths(t, seed)
+
+    def test_extensions_contain_the_seed_paths(self, property_tree):
+        t = property_tree
+        for seed in all_seeds(t):
+            maximal = maximal_extensions(t, seed)
+            assert [m.endpoints() for m in maximal] == antichain_maximal(t, seed)
+            for m in maximal:
+                assert m.origin == seed.origin
+                assert contains_run(tree_path(t, m.head1, m.tail1),
+                                    tree_path(t, seed.head1, seed.tail1))
+                assert contains_run(tree_path(t, m.head2, m.tail2),
+                                    tree_path(t, seed.head2, seed.tail2))
 
 
 class TestEndpoints:

@@ -33,6 +33,7 @@ from treeideals.ideals import (
     quadric_polynomials,
     quadric_terms,
 )
+from treeideals.ideals import same_stage_pairs
 from treeideals.parametrization import BracketImages
 from treeideals.polycore import compare_polynomials
 from conftest import (
@@ -232,6 +233,43 @@ class TestStarCondition:
         assert star_condition(s, "v", "w").holds
         assert not s.same_position("v1", "w1")
         assert star_condition(s, "v1", "w1").holds
+
+
+def star_differences(t, v, w):
+    """Reference t(v_i)t(w_j) - t(w_i)t(v_j) per aligned index pair (i, j),
+    1-based, by products of subtree polynomials."""
+    labels = t.stage_class_of(v).labels
+    out = {}
+    for i in range(len(labels)):
+        for j in range(i + 1, len(labels)):
+            v_i, w_i = t.child_via(v, labels[i]), t.child_via(w, labels[i])
+            v_j, w_j = t.child_via(v, labels[j]), t.child_via(w, labels[j])
+            out[i + 1, j + 1] = (t.t_polynomial(v_i) * t.t_polynomial(w_j)
+                                 - t.t_polynomial(w_i) * t.t_polynomial(v_j))
+    return out
+
+
+class TestToricityProperties:
+    """The toricity verdict against polynomial references, over fixtures
+    and generated trees."""
+
+    def test_witnesses_are_the_nonzero_product_differences(self, property_tree):
+        t = property_tree
+        for v, w in same_stage_pairs(t):
+            result = star_condition(t, v, w)
+            expected = {ij: d for ij, d in star_differences(t, v, w).items() if not d.is_zero()}
+            assert {(x.i, x.j): x.difference for x in result.witnesses} == expected
+            assert result.holds == (not expected)
+            labels = t.stage_class_of(v).labels
+            for x in result.witnesses:
+                assert (x.label_i, x.label_j) == (labels[x.i - 1].name, labels[x.j - 1].name)
+
+    def test_all_same_position_matches_the_pairwise_reference(self, property_tree):
+        t = property_tree
+        verdict = is_toric(t)
+        pairs = list(same_stage_pairs(t))
+        assert verdict.all_same_position == all(t.same_position(v, w) for v, w in pairs)
+        assert verdict.checked_pairs == len(pairs)
 
 
 class TestToricity:

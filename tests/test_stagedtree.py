@@ -218,6 +218,16 @@ class TestBrackets:
                     total = total + Polynomial.variable(e.label) * t.t_polynomial(e.child)
                 assert t.t_polynomial(v) == total
 
+    def test_label_word_walks_down_from_the_root(self, bracket_tree):
+        t = bracket_tree
+        for v in t.vertices:
+            up, x = [], v
+            while (e := t.parent_of(x)) is not None:
+                up.append(e.label)
+                x = e.parent
+            assert t.label_word(v) == tuple(s.index for s in reversed(up))
+            assert [t.label_symbols[i] for i in t.label_word(v)] == up[::-1]
+
     def test_named_subtree_polynomials(self):
         t = load_fixture("star_example")
         a = Polynomial.variable(t.symbol("a0")) + Polynomial.variable(t.symbol("a1"))
