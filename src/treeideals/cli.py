@@ -223,14 +223,26 @@ def parse_polynomial(text: str, table: SymbolTable) -> Polynomial:
         take()
 
 
+_RATIONAL_RE = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]*\.[0-9]+|[0-9]+\.)\Z")
+
+
 def parse_point(text: str) -> list[Fraction]:
-    """Whitespace-separated rationals like '1/12 1/6 1/4 ...'."""
+    """Whitespace-separated rationals like '1/12 1/6 1/4 ...'.
+
+    Each entry is an integer, p/q or a plain decimal.  Exponents are
+    refused: ``Fraction('1e3000000')`` expands a 3,000,001-digit integer
+    before any check on the point could run.
+    """
     out = []
     for tok in text.split():
         try:
+            if not _RATIONAL_RE.match(tok):
+                raise ValueError
             out.append(Fraction(tok))
         except (ValueError, ZeroDivisionError):
-            raise ParseError(f"point: bad rational {tok!r}") from None
+            raise ParseError(
+                f"point: bad rational {tok!r} (expected an integer, p/q or a plain decimal)"
+            ) from None
     return out
 
 

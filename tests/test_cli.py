@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -313,6 +314,16 @@ class TestMembership:
         assert code == 2
         assert "bad rational 'oops'" in err
 
+    def test_exponent_in_a_point_is_refused_at_once(self, capsys, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("1/2 1e300000000")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "membership", FIG1_T2, "--point", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert "bad rational '1e300000000'" in err
+
     def test_non_utf8_point_file_is_a_usage_error(self, capsys, tmp_path):
         path = tmp_path / "point.txt"
         path.write_bytes(b"\xff\xfe1/2 1/2")
@@ -475,6 +486,19 @@ class TestPolynomialText:
         assert parse_point("1/2  1/3\n1/6") == [
             Fraction(1, 2), Fraction(1, 3), Fraction(1, 6),
         ]
+
+    def test_point_forms(self):
+        assert parse_point("3 -2 +1/4 0.25 .5 5. -0.125") == [
+            3, -2, Fraction(1, 4), Fraction(1, 4), Fraction(1, 2), 5, Fraction(-1, 8),
+        ]
+
+    @pytest.mark.parametrize("tok", [
+        "1e3", "1E-2", "2.5e1", "1/2e3", "1_000", "inf", "nan", "0x10", "1/-2", ".", "1/0",
+        "\uff11",
+    ])
+    def test_point_rejects_other_forms(self, tok):
+        with pytest.raises(ParseError, match="bad rational"):
+            parse_point(f"1/2 {tok}")
 
 
 class TestInstalledEntryPoint:
