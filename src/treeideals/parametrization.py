@@ -92,7 +92,8 @@ def word_polynomial(t: StagedTree, counts: Mapping[tuple[int, ...], int]) -> Pol
     w -> k of ``counts`` (see ``StagedTree.label_word``)."""
     labels = t.label_symbols
     return Polynomial(
-        (Monomial((labels[i], 1) for i in word), k) for word, k in counts.items()
+        (Monomial((labels[i], e) for i, e in Counter(word).items()), k)
+        for word, k in counts.items()
     )
 
 
@@ -152,9 +153,9 @@ def star_condition(t: StagedTree, v: str, w: str) -> StarResult:
             s_j, v_j, w_j = aligned[j]
             difference: Counter[tuple[int, ...]] = Counter()
             for x, y, sign in ((v_i, w_j, 1), (w_i, v_j, -1)):
-                for m, k in t_words(x).items():
-                    for n, l in t_words(y).items():
-                        difference[tuple(sorted(m + n))] += sign * k * l
+                for m, p in t_words(x).items():
+                    for n, q in t_words(y).items():
+                        difference[tuple(sorted(m + n))] += sign * p * q
             if any(difference.values()):
                 witnesses.append(StarWitness(
                     i + 1, j + 1, s_i.name, s_j.name, word_polynomial(t, difference)
