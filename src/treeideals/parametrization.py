@@ -87,7 +87,7 @@ def phi_image(t: StagedTree, f: Polynomial) -> Polynomial:
     return SumToOneReduction.for_tree(t).apply(phi_toric_image(t, f))
 
 
-def word_polynomial(t: StagedTree, counts: Mapping[tuple[int, ...], int]) -> Polynomial:
+def _word_polynomial(t: StagedTree, counts: Mapping[tuple[int, ...], int]) -> Polynomial:
     """The sum of k times the label product of w, over the label words
     w -> k of ``counts`` (see ``StagedTree.label_word``)."""
     labels = t.label_symbols
@@ -158,7 +158,7 @@ def star_condition(t: StagedTree, v: str, w: str) -> StarResult:
                         difference[tuple(sorted(m + n))] += sign * p * q
             if any(difference.values()):
                 witnesses.append(StarWitness(
-                    i + 1, j + 1, s_i.name, s_j.name, word_polynomial(t, difference)
+                    i + 1, j + 1, s_i.name, s_j.name, _word_polynomial(t, difference)
                 ))
     return StarResult(v, w, not witnesses, tuple(witnesses))
 
@@ -250,7 +250,7 @@ class BracketImages:
         m1, m2 = tuple(sorted(word(a) + word(b))), tuple(sorted(word(c) + word(d)))
         if m1 == m2:
             return Polynomial.zero()
-        return self._reduction.apply(word_polynomial(self._tree, {m1: 1, m2: -1}))
+        return self._reduction.apply(_word_polynomial(self._tree, {m1: 1, m2: -1}))
 
     def toric_image(self, terms: QuadricTerms) -> Polynomial:
         """phi of a ``quadric_terms`` table, in the full label ring."""
@@ -260,7 +260,7 @@ class BracketImages:
             image[tuple(sorted(
                 t.label_word(t.atoms[hi - 1].leaf) + t.label_word(t.atoms[lo - 1].leaf)
             ))] += k
-        return word_polynomial(t, image)
+        return _word_polynomial(t, image)
 
 
 def containment_report(t: StagedTree) -> ContainmentReport:

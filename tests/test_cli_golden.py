@@ -31,8 +31,9 @@ IDEALS = ("model", "paths", "mpaths")
 
 
 def invocations() -> dict[str, list[list[str]]]:
-    """Argument lists after the tree path, grouped by subcommand;
-    ``{member}`` and ``{outside}`` stand for the two point files."""
+    """Argument lists grouped by subcommand, the tree path left out (it
+    follows the subcommand); ``{member}`` and ``{outside}`` stand for the
+    two point files."""
     return {
         "validate": [["validate"]],
         "atoms": [["atoms"]],
