@@ -25,6 +25,7 @@ output; all output is byte-deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -307,18 +308,19 @@ def _cmd_validate(args) -> int:
 
 def _cmd_atoms(args) -> int:
     t = _load_tree(args.tree)
+    words = [str(a.monomial) for a in t.atoms]
     lines = [
-        f"{a.index} {a.symbol.name} = {a.monomial}  [{' '.join(a.vertices)}]"
-        for a in t.atoms
+        f"{a.index} {a.symbol.name} = {w}  [{' '.join(a.vertices)}]"
+        for a, w in zip(t.atoms, words)
     ]
     payload = [
         {
             "index": a.index,
             "name": a.symbol.name,
-            "labels": str(a.monomial),
+            "labels": w,
             "path": list(a.vertices),
         }
-        for a in t.atoms
+        for a, w in zip(t.atoms, words)
     ]
     _emit(args, lines, payload)
     return 0
@@ -554,9 +556,13 @@ _HANDLERS = {
 }
 
 
+# Parsing leaves no state in the parser, so one serves every call.
+_parser = functools.cache(build_parser)
+
+
 def run_command(argv: Sequence[str]) -> int:
     """Parse arguments, run one subcommand, return the exit status."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except ParseError as e:

@@ -327,11 +327,11 @@ def psi_evaluate(
             raise InvalidSimplexPoint(
                 f"labels of stage class {cls.index} sum to {total}, not 1"
             )
-    out: list[Fraction] = []
-    for atom in t.atoms:
-        p = Fraction(1)
-        for s in atom.labels:
-            p *= values[s]
-        out.append(p)
+    # t.edges() lists each parent's edges before its children's, so every
+    # vertex's path product is one multiplication from its parent's.
+    prob = {t.root: Fraction(1)}
+    for e in t.edges():
+        prob[e.child] = prob[e.parent] * values[e.label]
+    out = [prob[atom.leaf] for atom in t.atoms]
     assert sum(out) == 1
     return out

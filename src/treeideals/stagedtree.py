@@ -223,7 +223,11 @@ class Atom:
     vertices: tuple[str, ...]
     labels: tuple[Symbol, ...]
     symbol: Symbol
-    monomial: Monomial
+
+    @property
+    def monomial(self) -> Monomial:
+        """The product of ``labels``, built on each read."""
+        return Monomial(Counter(self.labels).items())
 
 
 @dataclass(frozen=True, slots=True)
@@ -267,11 +271,13 @@ class StagedTree:
 
         declared = {v.id: v for v in definition.vertices}
 
-        # Depth-first pre-order; children in declaration order.
+        # Depth-first pre-order; children in declaration order.  Each
+        # vertex's root path and label word extend its parent's.
         order: list[str] = []
         children: dict[str, tuple[Edge, ...]] = {}
         parent_edge: dict[str, Edge] = {}
-        depth: dict[str, int] = {self.root: 0}
+        path: dict[str, tuple[str, ...]] = {self.root: (self.root,)}
+        word: dict[str, tuple[Symbol, ...]] = {self.root: ()}
         stack = [self.root]
         while stack:
             v = stack.pop()
@@ -284,14 +290,15 @@ class StagedTree:
                 edge = Edge(v, e.to, label)
                 edges.append(edge)
                 parent_edge[e.to] = edge
-                depth[e.to] = depth[v] + 1
+                path[e.to] = path[v] + (e.to,)
+                word[e.to] = word[v] + (label,)
             children[v] = tuple(edges)
             stack.extend(e.to for e in reversed(edge_defs))
 
         self.vertices = tuple(order)
         self._children = children
         self._parent_edge = parent_edge
-        self._depth = depth
+        self._depth = {v: len(w) for v, w in word.items()}
         self._order = {v: i for i, v in enumerate(order)}
         self.internal_vertices = tuple(v for v in order if children[v])
         self.leaves = tuple(v for v in order if not children[v])
@@ -300,26 +307,9 @@ class StagedTree:
         names = definition.atom_names
         atoms: list[Atom] = []
         for i, leaf in enumerate(self.leaves, start=1):
-            path: list[str] = [leaf]
-            labels: list[Symbol] = []
-            v = leaf
-            while v != self.root:
-                e = parent_edge[v]
-                labels.append(e.label)
-                v = e.parent
-                path.append(v)
-            path.reverse()
-            labels.reverse()
             name = names[i - 1] if names is not None else f"p{i}"
             symbol = self.table.new(name, ATOM)
-            atoms.append(Atom(
-                index=i,
-                leaf=leaf,
-                vertices=tuple(path),
-                labels=tuple(labels),
-                symbol=symbol,
-                monomial=Monomial((s, 1) for s in labels) if labels else Monomial.one(),
-            ))
+            atoms.append(Atom(i, leaf, path[leaf], word[leaf], symbol))
         self.atoms = tuple(atoms)
         self.atom_symbols = tuple(a.symbol for a in atoms)
         self.label_symbols = tuple(s for s in self.table if s.kind == LABEL)

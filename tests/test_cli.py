@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, exact output, parsing."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,15 +11,24 @@ from pathlib import Path
 
 import pytest
 
-from treeideals import ParseError, Polynomial, UnboundSymbol, membership
+from treeideals import (
+    Monomial,
+    ParseError,
+    Polynomial,
+    UnboundSymbol,
+    build_tree,
+    membership,
+)
 from treeideals.cli import (
+    build_parser,
     parse_point,
     parse_polynomial,
+    parse_tree_definition,
     parse_tree_document,
     render_tree_document,
     run_command,
 )
-from conftest import FIXTURE_DIR, FIXTURE_NAMES, load_fixture
+from conftest import FIXTURE_DIR, FIXTURE_NAMES, GENERATED_TREES, fixture_text, load_fixture
 
 FIG1_T1 = str(FIXTURE_DIR / "fig1_t1.json")
 FIG1_T2 = str(FIXTURE_DIR / "fig1_t2.json")
@@ -455,6 +465,78 @@ class TestLazyCompile:
         code, _, _ = run(capsys, argv[0], path, *argv[1:])
         assert code == 0
 
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + sorted(GENERATED_TREES))
+    def test_compile_builds_no_monomial(self, monkeypatch, name):
+        def forbidden(*args):
+            raise AssertionError("monomial built")
+
+        definition = None
+        if name not in GENERATED_TREES:
+            definition = parse_tree_definition(fixture_text(name))
+        monkeypatch.setattr(Monomial, "__init__", forbidden)
+        t = build_tree(definition) if definition else GENERATED_TREES[name]()
+        assert t.n_atoms == len(t.leaves)
+
+
+def run_fresh(*argv):
+    """Exit code, stdout and stderr of the CLI in a new interpreter.
+
+    The package's src directory comes first on its path, so the module
+    runs with or without an install.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "treeideals.cli", *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+class TestSharedParser:
+    """run_command parses with one parser per process; no parsed value
+    carries over from one call to the next."""
+
+    def test_ideal_default_after_an_explicit_ideal(self, capsys):
+        _, paths, _ = run(capsys, "generators", FIG1_T2, "--ideal", "paths")
+        _, default, _ = run(capsys, "generators", FIG1_T2)
+        _, model, _ = run(capsys, "generators", FIG1_T2, "--ideal", "model")
+        assert default == model != paths
+
+    def test_seed_default_after_an_explicit_seed(self, capsys):
+        _, seven, _ = run(capsys, "sample", FIG1_T2, "--seed", "7")
+        _, default, _ = run(capsys, "sample", FIG1_T2)
+        _, one, _ = run(capsys, "sample", FIG1_T2, "--seed", "1")
+        assert default == one != seven
+
+    def test_usage_error_leaves_the_parser_intact(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_command(["sample", FIG1_T2, "--count", "-3"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        argv = ["sample", FIG1_T2, "--json"]
+        assert run(capsys, *argv) == run_fresh(*argv)
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        run(capsys, "validate", FIG1_T2)
+        built = 0
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for argv in (["validate"], ["atoms"], ["sample", "--seed", "3"]):
+            code, _, _ = run(capsys, argv[0], FIG1_T2, *argv[1:])
+            assert code == 0
+        assert built == 0
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
 
 class TestPolynomialText:
     def test_rejects_bad_characters(self):
@@ -503,14 +585,6 @@ class TestPolynomialText:
 
 class TestInstalledEntryPoint:
     def test_console_script_runs(self):
-        # The package's src directory comes first, so the module runs
-        # with or without an install.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "treeideals.cli", "validate", FIG1_T2],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert result.returncode == 0
-        assert result.stdout.splitlines()[0] == "valid"
+        code, out, _ = run_fresh("validate", FIG1_T2)
+        assert code == 0
+        assert out.splitlines()[0] == "valid"

@@ -24,6 +24,7 @@ from treeideals import (
     phi_image,
     phi_toric_image,
     psi_evaluate,
+    sample_theta,
     star_condition,
 )
 from treeideals.ideals import (
@@ -485,3 +486,38 @@ class TestParametrizationMap:
         out = psi_evaluate(t, theta)
         assert sum(out) == 1
         assert all(x > 0 for x in out)
+
+
+def psi_by_atoms(t, theta):
+    """Reference psi: each atom's probability as the product of its labels."""
+    out = []
+    for atom in t.atoms:
+        p = Fraction(1)
+        for s in atom.labels:
+            p *= theta[s]
+        out.append(p)
+    return out
+
+
+class TestPathProducts:
+    @pytest.mark.parametrize("seed", [1, 7, 20181])
+    def test_matches_per_atom_reference(self, property_tree, seed):
+        theta = sample_theta(property_tree, seed)
+        assert psi_evaluate(property_tree, theta) == psi_by_atoms(property_tree, theta)
+
+    def test_one_multiplication_per_edge(self, monkeypatch):
+        t = caterpillar_tree(200)
+        theta = sample_theta(t, 1)
+        calls = 0
+        mul = Fraction.__mul__
+
+        def counting(a, b):
+            nonlocal calls
+            calls += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(Fraction, "__mul__", counting)
+        out = psi_evaluate(t, theta)
+        monkeypatch.undo()
+        assert calls == t.n_edges
+        assert out == psi_by_atoms(t, theta)

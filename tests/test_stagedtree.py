@@ -4,6 +4,7 @@ import pytest
 
 from treeideals import (
     EdgeDef,
+    Monomial,
     Polynomial,
     StagedTree,
     TreeDefinition,
@@ -154,6 +155,18 @@ class TestStructure:
         assert first.vertices == ("v0", "v1", "l1")
         assert [s.name for s in first.labels] == ["theta0", "tau0"]
         assert str(first.monomial) == "theta0*tau0"
+
+    def test_atoms_match_a_walk_to_the_root(self, property_tree):
+        t = property_tree
+        for atom in t.atoms:
+            path, labels, v = [atom.leaf], [], atom.leaf
+            while (e := t.parent_of(v)) is not None:
+                labels.append(e.label)
+                path.append(e.parent)
+                v = e.parent
+            assert atom.vertices == tuple(reversed(path))
+            assert atom.labels == tuple(reversed(labels))
+            assert str(atom.monomial) == str(Monomial((s, 1) for s in labels))
 
     def test_repeated_label_along_one_path(self):
         t = load_fixture("fig2_t3")
