@@ -22,9 +22,9 @@ generator.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import NotSameStage
 from .polycore import Monomial, Polynomial, Symbol
@@ -130,11 +130,6 @@ def _canonical_set(
 QuadricTerms = tuple[tuple[tuple[int, int], int], ...]
 
 
-def _minus(p: range, q: range) -> tuple[range, range]:
-    """The part of p below q and the part above it."""
-    return range(p.start, min(p.stop, q.start)), range(max(p.start, q.stop), p.stop)
-
-
 def _nonzero_cells(
     t: StagedTree, a: str, b: str, c: str, d: str
 ) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
@@ -143,20 +138,28 @@ def _nonzero_cells(
 
     The quadric is the rectangle [a]x[b] of atom pairs minus [c]x[d],
     folded onto hi >= lo; only the cells of one rectangle and not the
-    other are visited.
+    other are visited.  Each bracket is an inclusive atom span (lo, hi).
     """
-    ia, ib, ic, id_ = (t.atom_indices(v) for v in (a, b, c, d))
-    both = range(max(ia.start, ic.start), min(ia.stop, ic.stop))
-    blocks = (
-        [(rows, ib, 1) for rows in _minus(ia, ic)]
-        + [(rows, id_, -1) for rows in _minus(ic, ia)]
-        + [(both, cols, 1) for cols in _minus(ib, id_)]
-        + [(both, cols, -1) for cols in _minus(id_, ib)]
+    span = t.atom_spans
+    (la, ha), (lb, hb), (lc, hc), (ld, hd) = span[a], span[b], span[c], span[d]
+    if la == ha and lb == hb and lc == hc and ld == hd:
+        # Four leaves: one cell each side, cancelling when they agree.
+        first = (la, lb) if la >= lb else (lb, la)
+        second = (lc, ld) if lc >= ld else (ld, lc)
+        if first == second:
+            return [], {}
+        return sorted((first, second)), {first: 1, second: -1}
+    lo, hi = max(la, lc), min(ha, hc)  # rows in both [a] and [c]
+    blocks = (  # (first row, last row, first column, last column, sign)
+        (la, min(ha, lc - 1), lb, hb, 1), (max(la, hc + 1), ha, lb, hb, 1),
+        (lc, min(hc, la - 1), ld, hd, -1), (max(lc, ha + 1), hc, ld, hd, -1),
+        (lo, hi, lb, min(hb, ld - 1), 1), (lo, hi, max(lb, hd + 1), hb, 1),
+        (lo, hi, ld, min(hd, lb - 1), -1), (lo, hi, max(ld, hb + 1), hd, -1),
     )
     cells: dict[tuple[int, int], int] = {}
-    for rows, cols, sign in blocks:
-        for i in rows:
-            for j in cols:
+    for r0, r1, c0, c1, sign in blocks:
+        for i in range(r0, r1 + 1):
+            for j in range(c0, c1 + 1):
                 key = (i, j) if i >= j else (j, i)
                 cells[key] = cells.get(key, 0) + sign
     return sorted(key for key, k in cells.items() if k), cells
@@ -198,16 +201,20 @@ def quadric_key(terms: QuadricTerms) -> tuple[int, ...]:
 
 
 def quadric_polynomials(t: StagedTree, tables: Iterable[QuadricTerms]) -> tuple[Polynomial, ...]:
-    """The polynomial of each table, with one ``Monomial`` per atom pair."""
+    """The polynomial of each table, with one ``Monomial`` per atom pair.
+
+    Atom symbols are numbered in atom order, so the powers of the pair
+    (hi, lo) are already sorted and are not merged or sorted again.
+    """
     symbols = t.atom_symbols
     monomials: dict[tuple[int, int], Monomial] = {}
 
     def monomial(hi: int, lo: int) -> Monomial:
         m = monomials.get((hi, lo))
         if m is None:
-            s, r = symbols[hi - 1], symbols[lo - 1]
-            m = Monomial.of(s, 2) if hi == lo else Monomial(((r, 1), (s, 1)))
-            monomials[hi, lo] = m
+            s = symbols[hi - 1]
+            powers = ((s, 2),) if hi == lo else ((symbols[lo - 1], 1), (s, 1))
+            m = monomials[hi, lo] = Monomial._presorted(powers)
         return m
 
     return tuple(
@@ -368,18 +375,14 @@ def _step_options(
     return options
 
 
-def _completions(t: StagedTree, endpoint: str, other: str) -> list[tuple[str, tuple[int, ...]]]:
-    """Descendants of an endpoint off its path to ``other``, each with the
-    label symbol indices of the chain down to it.  Includes the endpoint
-    itself with no labels.
-
-    The only path vertices below an endpoint lie on the way down to the
-    other end, so the child whose atom interval contains ``other``'s is
-    skipped.
+def _completions(t: StagedTree, endpoint: str, skipped: str | None) -> list[tuple[str, tuple[int, ...]]]:
+    """Descendants of an endpoint outside the subtree of its child
+    ``skipped`` (None skips nothing), each with the label symbol indices
+    of the chain down to it.  Includes the endpoint itself with no labels.
     """
     depth = t.depth_of(endpoint)
     out: list[tuple[str, tuple[int, ...]]] = [(endpoint, ())]
-    stack = [e.child for e in t.children_of(endpoint) if not t.is_descendant_or_self(other, e.child)]
+    stack = [e.child for e in t.children_of(endpoint) if e.child != skipped]
     while stack:
         v = stack.pop()
         out.append((v, t.label_word(v)[depth:]))
@@ -387,11 +390,15 @@ def _completions(t: StagedTree, endpoint: str, other: str) -> list[tuple[str, tu
     return out
 
 
-def _pair_sort_key(t: StagedTree, pair: PathPair) -> tuple[int, int, int, int]:
-    return tuple(t.dfs_index(x) for x in pair.endpoints())  # type: ignore[return-value]
+def _by_dfs_index(t: StagedTree) -> Callable[[PathPair], tuple[int, int, int, int]]:
+    """Sort key of path pairs: the depth-first indices of their endpoints."""
+    order = t.dfs_indices
+    return lambda p: (order[p.head1], order[p.tail1], order[p.head2], order[p.tail2])
 
 
-def extension_candidates(t: StagedTree, seed: PathPair) -> list[tuple[str, str, str, str]]:
+def extension_candidates(
+    t: StagedTree, seed: PathPair, *, completions: dict | None = None
+) -> list[tuple[str, str, str, str]]:
     """Endpoint quadruples (a, b, c, d) that extend a seed, exhaustively.
 
     Each of the four endpoints descends to any vertex reachable without
@@ -399,11 +406,33 @@ def extension_candidates(t: StagedTree, seed: PathPair) -> list[tuple[str, str, 
     edge sets with equal label products (equality of monomials, so
     multi-edge completions with reordered labels are found).  The seed's
     own endpoints are always among them.
+
+    The only path vertices below an endpoint lie on the way down to the
+    other end, so the walk below it skips the child whose atom span
+    holds the other end's.  Walks are kept in ``completions`` by
+    (endpoint, skipped child); a caller that passes one dict for a run
+    of seeds of one tree walks each of them once.
     """
-    heads1 = _completions(t, seed.head1, seed.tail1)
-    tails1 = _completions(t, seed.tail1, seed.head1)
-    heads2 = _completions(t, seed.head2, seed.tail2)
-    tails2 = _completions(t, seed.tail2, seed.head2)
+    memo = {} if completions is None else completions
+    span = t.atom_spans
+
+    def below(endpoint: str, other: str) -> list[tuple[str, tuple[int, ...]]]:
+        lo, hi = span[other]
+        skipped = None
+        for e in t.children_of(endpoint):
+            first, last = span[e.child]
+            if first <= lo and hi <= last:
+                skipped = e.child
+                break
+        walk = memo.get((endpoint, skipped))
+        if walk is None:
+            walk = memo[endpoint, skipped] = _completions(t, endpoint, skipped)
+        return walk
+
+    heads1 = below(seed.head1, seed.tail1)
+    tails1 = below(seed.tail1, seed.head1)
+    heads2 = below(seed.head2, seed.tail2)
+    tails2 = below(seed.tail2, seed.head2)
 
     # A label product is compared as its sorted tuple of symbol indices.
     first: dict[tuple[int, ...], list[tuple[str, str]]] = {}
@@ -418,21 +447,20 @@ def extension_candidates(t: StagedTree, seed: PathPair) -> list[tuple[str, str, 
     return candidates
 
 
-def maximal_extensions(t: StagedTree, seed: PathPair) -> list[PathPair]:
+def maximal_extensions(
+    t: StagedTree, seed: PathPair, *, completions: dict | None = None
+) -> list[PathPair]:
     """Maximal extensions of a seed under equal label products.
 
-    These are the maximal elements of ``extension_candidates``, where q
-    extends p when each endpoint of q descends from (or is) the same
-    endpoint of p, that is when each of q's atom intervals lies inside
-    p's.  Intervals nest or are disjoint, so with the candidates sorted
-    by their first interval only those whose first interval starts
-    inside p's first interval are compared with p.
+    These are the maximal elements of ``extension_candidates`` (which
+    gets ``completions``), where q extends p when each endpoint of q
+    descends from (or is) the same endpoint of p, that is when each of
+    q's atom spans lies inside p's.  Spans nest or are disjoint, so with
+    the candidates sorted by their first span only those whose first
+    span starts inside p's first span are compared with p.
     """
-    candidates = extension_candidates(t, seed)
-    span = {}
-    for v in {x for p in candidates for x in p}:
-        atoms = t.atom_indices(v)
-        span[v] = (atoms.start, atoms.stop)
+    candidates = extension_candidates(t, seed, completions=completions)
+    span = t.atom_spans
     boxes = sorted(
         (span[a] + span[b] + span[c] + span[d], (a, b, c, d))
         for a, b, c, d in candidates
@@ -440,14 +468,14 @@ def maximal_extensions(t: StagedTree, seed: PathPair) -> list[PathPair]:
     starts = [box[0] for box, _ in boxes]
     maximal = []
     for (la, ha, lb, hb, lc, hc, ld, hd), p in boxes:
-        inside = boxes[bisect_left(starts, la):bisect_left(starts, ha)]
+        inside = boxes[bisect_left(starts, la):bisect_right(starts, ha)]
         if not any(
             ha2 <= ha and lb <= lb2 and hb2 <= hb and lc <= lc2 and hc2 <= hc
             and ld <= ld2 and hd2 <= hd and q != p
             for (_, ha2, lb2, hb2, lc2, hc2, ld2, hd2), q in inside
         ):
             maximal.append(PathPair(*p, seed.origin))
-    maximal.sort(key=lambda pp: _pair_sort_key(t, pp))
+    maximal.sort(key=_by_dfs_index(t))
     return maximal
 
 
@@ -472,7 +500,7 @@ def maximal_extensions_stepwise(t: StagedTree, seed: PathPair) -> list[PathPair]
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    maximal.sort(key=lambda pp: _pair_sort_key(t, pp))
+    maximal.sort(key=_by_dfs_index(t))
     return maximal
 
 
@@ -485,12 +513,17 @@ def fully_extends(t: StagedTree, seed: PathPair) -> bool:
 
 
 def mpaths_generators(t: StagedTree) -> GeneratorSet:
-    """Bracket differences of all maximal extensions of all seeds."""
+    """Bracket differences of all maximal extensions of all seeds.
+
+    The seeds share one ``completions`` dict, which lives for this call
+    only, so each subtree walk is made once.
+    """
+    completions: dict = {}
     return _canonical_set(t, "mpaths", (
         (*pair.endpoints(), f"{seed.origin}, seed {seed}, maximal {pair}")
         for v, w in same_stage_pairs(t)
         for seed in stage_pair_seeds(t, v, w)
-        for pair in maximal_extensions(t, seed)
+        for pair in maximal_extensions(t, seed, completions=completions)
     ))
 
 

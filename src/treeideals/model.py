@@ -42,11 +42,7 @@ def _as_fractions(t: StagedTree, point: Sequence[Scalar]) -> list[Fraction]:
 def _bracket_values(t: StagedTree, values: Sequence[Fraction]) -> dict[str, Fraction]:
     """p_[v] at the point for every vertex v, from prefix sums."""
     prefix = list(accumulate(values, initial=Fraction(0)))
-    out = {}
-    for v in t.vertices:
-        span = t.atom_indices(v)
-        out[v] = prefix[span.stop - 1] - prefix[span.start - 1]
-    return out
+    return {v: prefix[hi] - prefix[lo - 1] for v, (lo, hi) in t.atom_spans.items()}
 
 
 @dataclass(frozen=True)

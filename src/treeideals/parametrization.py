@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .errors import ForeignSymbol, InvalidSimplexPoint, UnboundSymbol
@@ -89,11 +90,12 @@ def phi_image(t: StagedTree, f: Polynomial) -> Polynomial:
 
 def _word_polynomial(t: StagedTree, counts: Mapping[tuple[int, ...], int]) -> Polynomial:
     """The sum of k times the label product of w, over the label words
-    w -> k of ``counts`` (see ``StagedTree.label_word``)."""
+    w -> k of ``counts`` (see ``StagedTree.label_word``).  Words with
+    k = 0 build no monomial."""
     labels = t.label_symbols
     return Polynomial(
         (Monomial((labels[i], e) for i, e in Counter(word).items()), k)
-        for word, k in counts.items()
+        for word, k in counts.items() if k
     )
 
 
@@ -237,12 +239,16 @@ class BracketImages:
     phi(sum of k*p_i*p_j) = sum of k*m_i*m_j, with m_i the monomial of
     atom i.  L(v) is the label word of v, label monomials are compared
     as sorted words, and a ``Monomial`` is built only for a nonzero
-    image.
+    image.  The sum-to-one reduction is built on first use, so when
+    every label monomial pair agrees it is never built.
     """
 
     def __init__(self, t: StagedTree):
         self._tree = t
-        self._reduction = SumToOneReduction.for_tree(t)
+
+    @cached_property
+    def _reduction(self) -> SumToOneReduction:
+        return SumToOneReduction.for_tree(self._tree)
 
     def reduced(self, a: str, b: str, c: str, d: str) -> Polynomial:
         """red(phi(p_[a]p_[b] - p_[c]p_[d])); zero iff the quadric is in ker phi."""

@@ -113,6 +113,15 @@ class Monomial:
         raise AttributeError("Monomial is immutable")
 
     @staticmethod
+    def _presorted(powers: tuple[tuple[Symbol, int], ...]) -> Monomial:
+        """The monomial of ``powers`` given merged, with positive exponents
+        and ascending in symbol index; none of that is checked."""
+        m = Monomial.__new__(Monomial)
+        object.__setattr__(m, "powers", powers)
+        object.__setattr__(m, "_hash", hash(powers))
+        return m
+
+    @staticmethod
     def one() -> Monomial:
         return _MONOMIAL_ONE
 
@@ -247,8 +256,9 @@ class Polynomial:
     @staticmethod
     def from_ordered(terms: Iterable[tuple[Monomial, Scalar]]) -> Polynomial:
         """Polynomial of distinct monomials with nonzero coefficients,
-        given descending in the term order; neither is checked."""
-        ordered = tuple((m, Fraction(c)) for m, c in terms)
+        given descending in the term order; neither is checked.  A
+        coefficient of +-1 or +-2 is taken from a table of ``Fraction``s."""
+        ordered = tuple((m, _SMALL_FRACTIONS.get(c) or Fraction(c)) for m, c in terms)
         poly = _wrap(dict(ordered))
         object.__setattr__(poly, "_ordered", ordered)
         return poly
@@ -428,9 +438,11 @@ class Polynomial:
         return isinstance(other, Polynomial) and self._terms == other._terms
 
     def __hash__(self) -> int:
+        # The support only: equal polynomials have equal supports, and
+        # monomial hashes are cached while Fraction hashes are not.
         h = self._hash
         if h is None:
-            h = hash(frozenset(self._terms.items()))
+            h = hash(frozenset(self._terms))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -466,6 +478,7 @@ def _wrap(terms: dict[Monomial, Fraction]) -> Polynomial:
 
 
 _ZERO = Polynomial()
+_SMALL_FRACTIONS = {k: Fraction(k) for k in (-2, -1, 1, 2)}
 _ONE = Polynomial.constant(1)
 
 

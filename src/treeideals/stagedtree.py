@@ -16,7 +16,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import UnknownVertex, ValidationError
 from .polycore import ATOM, LABEL, Monomial, Polynomial, Symbol, SymbolTable
@@ -380,6 +381,11 @@ class StagedTree:
         self._require(v)
         return self._order[v]
 
+    @property
+    def dfs_indices(self) -> Mapping[str, int]:
+        """``dfs_index`` of every vertex, as one read-only mapping."""
+        return MappingProxyType(self._order)
+
     def is_descendant_or_self(self, v: str, ancestor: str) -> bool:
         self._require(v)
         self._require(ancestor)
@@ -412,6 +418,12 @@ class StagedTree:
         self._require(v)
         lo, hi = self._span[v]
         return range(lo, hi + 1)
+
+    @property
+    def atom_spans(self) -> Mapping[str, tuple[int, int]]:
+        """Every vertex's atom span (lo, hi), as one read-only mapping:
+        ``atom_indices(v)`` is lo..hi inclusive."""
+        return MappingProxyType(self._span)
 
     def paths_through(self, v: str) -> frozenset[int]:
         return frozenset(self.atom_indices(v))

@@ -1,5 +1,12 @@
 """Generator sets, path extensions, and the dimension count."""
 
+import gc
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from treeideals import (
@@ -22,17 +29,21 @@ from treeideals import (
     stage_path_generators,
     tree_path,
 )
-from treeideals.cli import parse_tree_document
+from treeideals import ideals
+from treeideals.cli import parse_tree_document, render_tree_document
 from treeideals.ideals import bracket_difference, extension_candidates, same_stage_pairs
 from conftest import (
     FIXTURE_NAMES,
+    GENERATED_TREES,
     canonical,
     caterpillar_tree,
+    fixture_text,
     level_tree,
     load_fixture,
     poly,
     staged_classes_binary,
 )
+from mpaths_results import mpaths_results
 
 EXPECTED_DIMENSION = {
     "fig1_t1": 3, "fig1_t2": 3, "fig1_t3": 3,
@@ -481,6 +492,99 @@ class TestMpaths:
         assert len(mpaths_generators(load_fixture("fig4_tdec"))) == 12
         assert len(mpaths_generators(load_fixture("fig4_tbn"))) == 13
         assert len(mpaths_generators(load_fixture("fig4_t"))) == 20
+
+
+def same_names_other_shape(t):
+    """A tree on t's vertex names, laid out as a heap in t's depth-first
+    order: the k-th name's children are names 2k+1 and 2k+2, and a last
+    name without a sibling joins its parent's left neighbour as a third
+    child.  Vertices of one arity form one stage."""
+    names = t.vertices
+    kids = {}
+    for k in range(1, len(names)):
+        parent = (k - 1) // 2
+        if k == len(names) - 1 and k % 2:
+            parent -= 1
+        kids.setdefault(names[parent], []).append(names[k])
+    return build_tree(root=names[0], vertices=[
+        (v, [(c, f"h{len(cs)}_{i}") for i, c in enumerate(cs)]) for v, cs in kids.items()
+    ])
+
+
+def fresh_mpaths_results(documents):
+    """``mpaths_results`` of each tree document, from a new interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(Path(__file__).with_name("mpaths_results.py"))],
+        input=json.dumps(documents), capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return json.loads(result.stdout)
+
+
+class TestCompletionsMemo:
+    """One ``mpaths_generators`` call walks each (endpoint, skipped child)
+    subtree once, and no walk outlives the call."""
+
+    def test_each_walk_made_once_per_call(self, monkeypatch):
+        t = level_tree(2, 5)
+        walks = []
+
+        def counting(tree, endpoint, skipped):
+            walks.append((endpoint, skipped))
+            return walk(tree, endpoint, skipped)
+
+        walk = ideals._completions
+        monkeypatch.setattr(ideals, "_completions", counting)
+        for _ in range(2):
+            walks.clear()
+            mpaths_generators(t)
+            assert len(walks) == len(set(walks)) == 60
+
+    def test_direct_calls_match_the_pairs_inside_mpaths(self, monkeypatch, extension_tree):
+        t = extension_tree
+        inside = []
+
+        def recording(tree, seed, **kwargs):
+            assert set(kwargs) == {"completions"}
+            inside.append((seed, extend(tree, seed, **kwargs)))
+            return inside[-1][1]
+
+        extend = ideals.maximal_extensions
+        monkeypatch.setattr(ideals, "maximal_extensions", recording)
+        mpaths_generators(t)
+        monkeypatch.undo()
+        assert [seed for seed, _ in inside] == list(all_seeds(t))
+        for seed, pairs in inside:
+            assert maximal_extensions(t, seed) == pairs
+
+    def test_no_walk_carries_over_to_another_tree(self):
+        # A has B's vertex names in other places; A is dropped before B
+        # is built, so B may even reuse A's memory.
+        text = render_tree_document(level_tree(2, 4))
+        a = same_names_other_shape(parse_tree_document(text))
+        assert set(a.vertices) == set(parse_tree_document(text).vertices)
+        assert a.signature != parse_tree_document(text).signature
+        mpaths_generators(a)
+        del a
+        gc.collect()
+        b = parse_tree_document(text)
+        assert mpaths_results(b) == fresh_mpaths_results({"b": text})["b"]
+
+    def test_no_walk_carries_over_on_any_tree(self):
+        # Here each tree follows a same-names decoy; in the new
+        # interpreter it follows only the trees listed before it.
+        documents = {
+            **{name: fixture_text(name) for name in FIXTURE_NAMES},
+            **{name: render_tree_document(build()) for name, build in GENERATED_TREES.items()},
+        }
+        found = {}
+        for name, text in documents.items():
+            mpaths_generators(same_names_other_shape(parse_tree_document(text)))
+            gc.collect()
+            found[name] = mpaths_results(parse_tree_document(text))
+        assert found == fresh_mpaths_results(documents)
 
 
 class TestDimension:

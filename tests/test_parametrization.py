@@ -327,6 +327,15 @@ class TestContainment:
             assert not report.mpaths_in_toric_kernel, name
             assert not report.mpaths_all_binomial, name
 
+    def test_no_sum_to_one_reduction_unless_an_image_is_nonzero(
+        self, monkeypatch, property_tree
+    ):
+        def forbidden(cls, t):
+            raise AssertionError("sum-to-one reduction built")
+
+        monkeypatch.setattr(SumToOneReduction, "for_tree", classmethod(forbidden))
+        assert containment_report(property_tree).ok
+
 
 class TestBracketImages:
     """Images read per vertex or per atom pair equal the term-by-term ring maps."""
@@ -379,6 +388,8 @@ class TestBracketImages:
         assert unequal_and_nonzero
 
 
+GENERATOR_SETS = (model_invariant_generators, paths_ideal_generators, mpaths_generators)
+
 QUADRIC_TREES = {
     **{name: load_fixture(name) for name in FIXTURE_NAMES},
     **{name: build() for name, build in GENERATED.items()},
@@ -425,6 +436,16 @@ class TestQuadricTables:
         canon, flipped = canonical_quadric(t, *ends[0])
         assert quadric_polynomials(t, [canon]) == (quadric.normalized_sign(),)
         assert flipped == (quadric.normalized_sign() != quadric)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_generator_sets_build_no_monomial(self, monkeypatch, name):
+        def forbidden(*args):
+            raise AssertionError("monomial built")
+
+        t = load_fixture(name)
+        expected = [build(t) for build in GENERATOR_SETS]
+        monkeypatch.setattr(Monomial, "__init__", forbidden)
+        assert [build(t) for build in GENERATOR_SETS] == expected
 
     @settings(max_examples=200, deadline=None)
     @given(quadrics())

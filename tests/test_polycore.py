@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from treeideals.cli import parse_polynomial
 from treeideals.errors import DuplicateSymbol, UnboundSymbol
+from treeideals.ideals import bracket_difference, quadric_polynomials, quadric_terms
 from treeideals.polycore import (
     ATOM,
     LABEL,
@@ -20,6 +21,7 @@ from treeideals.polycore import (
     monomial_key,
     polynomial_key,
 )
+from conftest import level_tree
 
 
 def _sign(x) -> int:
@@ -273,3 +275,37 @@ def test_sign_normalization_idempotent_and_consistent(f):
 def test_polynomial_key_orders_as_compare_polynomials(f, g):
     assert _key_order(polynomial_key(f), polynomial_key(g)) == _sign(compare_polynomials(f, g))
     assert _key_order(polynomial_key(f), polynomial_key(f + g)) == _sign(compare_polynomials(f, f + g))
+
+
+class TestHashAndCoefficients:
+    """A ``Polynomial`` hashes its support and holds ``Fraction``
+    coefficients however it was built."""
+
+    def test_equal_polynomials_built_three_ways_hash_equal(self):
+        t = level_tree(2, 3)
+        a, b, c, d = "v1", "v2", "v3", "v6"
+        (from_table,) = quadric_polynomials(t, [quadric_terms(t, a, b, c, d)])
+        by_arithmetic = bracket_difference(t, a, b, c, d)
+        by_constructor = Polynomial(
+            (m, Fraction(k)) for m, k in by_arithmetic.ordered_terms()
+        )
+        assert from_table == by_arithmetic == by_constructor
+        assert len({hash(from_table), hash(by_arithmetic), hash(by_constructor)}) == 1
+        assert len({from_table, by_arithmetic, by_constructor}) == 1
+
+    def test_same_support_different_coefficients(self, xyz):
+        x, y, _ = xyz
+        f = Polynomial(((Monomial.of(x), 1), (Monomial.of(y), -2)))
+        g = Polynomial(((Monomial.of(x), 1), (Monomial.of(y), 3)))
+        assert hash(f) == hash(-f) == hash(g)
+        assert len({f, -f, g}) == 3
+        assert {f: "f", -f: "-f", g: "g"}[-f] == "-f"
+
+    def test_from_ordered_coefficients_are_fractions(self, xyz):
+        x, y, z = xyz
+        terms = [(Monomial.of(x, 2), 2), (Monomial.of(y), -1), (Monomial.of(z), 7)]
+        p = Polynomial.from_ordered(terms)
+        for m, k in terms:
+            assert type(p.coefficient(m)) is Fraction
+            assert p.coefficient(m) == k
+        assert all(type(c) is Fraction for _, c in p.ordered_terms())
