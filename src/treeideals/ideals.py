@@ -100,26 +100,39 @@ class GeneratorSet:
         return frozenset(self.generators)
 
 
-def _canonical_set(
-    t: StagedTree, kind: str, items: Iterable[tuple[str, str, str, str, str]]
-) -> GeneratorSet:
-    """Canonical set of the differences p_[a]p_[b] - p_[c]p_[d] of the
-    items (a, b, c, d, origin); each generator keeps the endpoints of
-    the first item that produced it."""
-    acc: dict[QuadricTerms, tuple[tuple[str, str, str, str], list[str]]] = {}
+def canonical_tables(
+    t: StagedTree, items: Iterable[tuple[str, str, str, str, object]]
+) -> list[tuple[QuadricTerms, tuple[str, str, str, str], list[object]]]:
+    """The distinct nonzero quadrics p_[a]p_[b] - p_[c]p_[d] of the items
+    (a, b, c, d, origin), as (table, endpoints, origins) in generator order.
+
+    Tables are sign-normalized (``canonical_quadric``), each keeps the
+    endpoints of the first item that produced it, oriented to its sign,
+    and collects the origins of all of them.
+    """
+    acc: dict[QuadricTerms, tuple[tuple[str, str, str, str], list[object]]] = {}
     for a, b, c, d, origin in items:
         terms, flipped = canonical_quadric(t, a, b, c, d)
         if terms:
             ends = (c, d, a, b) if flipped else (a, b, c, d)
             acc.setdefault(terms, (ends, []))[1].append(origin)
-    tables = sorted(acc, key=quadric_key, reverse=True)
+    return [(k, *acc[k]) for k in sorted(acc, key=quadric_key, reverse=True)]
+
+
+def _generator_set(t: StagedTree, kind: str) -> GeneratorSet:
+    """The canonical generator set of one kind, with provenance strings."""
+    entries = canonical_tables(t, generator_items(t, kind))
+    tables = tuple(table for table, _, _ in entries)
     generators = quadric_polynomials(t, tables)
+    describe = _DESCRIBE[kind]
     return GeneratorSet(
         kind=kind,
         generators=generators,
-        provenance={g: tuple(acc[k][1]) for g, k in zip(generators, tables)},
-        endpoints=tuple(acc[k][0] for k in tables),
-        tables=tuple(tables),
+        provenance={
+            g: tuple(map(describe, origins)) for g, (_, _, origins) in zip(generators, entries)
+        },
+        endpoints=tuple(ends for _, ends, _ in entries),
+        tables=tables,
     )
 
 
@@ -315,10 +328,7 @@ def model_quadrics(t: StagedTree) -> Iterator[tuple[str, str, str, str, Symbol]]
 
 def model_invariant_generators(t: StagedTree) -> GeneratorSet:
     """Odds-ratio quadrics p_[v]p_[w'] - p_[v']p_[w], one per pair and label."""
-    return _canonical_set(t, "model", (
-        (v, w1, v1, w, f"stage pair ({v}, {w}), label {s.name}")
-        for v, w, v1, w1, s in model_quadrics(t)
-    ))
+    return _generator_set(t, "model")
 
 
 def stage_path_generators(t: StagedTree, v: str, w: str) -> list[Polynomial]:
@@ -334,11 +344,7 @@ def stage_path_generators(t: StagedTree, v: str, w: str) -> list[Polynomial]:
 
 def paths_ideal_generators(t: StagedTree) -> GeneratorSet:
     """Union of the stage path generators over all same-stage pairs."""
-    return _canonical_set(t, "paths", (
-        (*seed.endpoints(), f"{seed.origin}, paths {seed}")
-        for v, w in same_stage_pairs(t)
-        for seed in stage_pair_seeds(t, v, w)
-    ))
+    return _generator_set(t, "paths")
 
 
 # -- extensions --------------------------------------------------------
@@ -375,17 +381,19 @@ def _step_options(
     return options
 
 
-def _completions(t: StagedTree, endpoint: str, skipped: str | None) -> list[tuple[str, tuple[int, ...]]]:
+def _completions(t: StagedTree, endpoint: str, skipped: str | None) -> list[tuple[str, int]]:
     """Descendants of an endpoint outside the subtree of its child
-    ``skipped`` (None skips nothing), each with the label symbol indices
-    of the chain down to it.  Includes the endpoint itself with no labels.
+    ``skipped`` (None skips nothing), each with the label key of the
+    chain down to it (see ``StagedTree.label_keys``).  Includes the
+    endpoint itself, with key 0.
     """
-    depth = t.depth_of(endpoint)
-    out: list[tuple[str, tuple[int, ...]]] = [(endpoint, ())]
+    keys = t.label_keys
+    base = keys[endpoint]
+    out = [(endpoint, 0)]
     stack = [e.child for e in t.children_of(endpoint) if e.child != skipped]
     while stack:
         v = stack.pop()
-        out.append((v, t.label_word(v)[depth:]))
+        out.append((v, keys[v] - base))
         stack.extend(e.child for e in t.children_of(v))
     return out
 
@@ -416,7 +424,7 @@ def extension_candidates(
     memo = {} if completions is None else completions
     span = t.atom_spans
 
-    def below(endpoint: str, other: str) -> list[tuple[str, tuple[int, ...]]]:
+    def below(endpoint: str, other: str) -> list[tuple[str, int]]:
         lo, hi = span[other]
         skipped = None
         for e in t.children_of(endpoint):
@@ -434,15 +442,15 @@ def extension_candidates(
     heads2 = below(seed.head2, seed.tail2)
     tails2 = below(seed.tail2, seed.head2)
 
-    # A label product is compared as its sorted tuple of symbol indices.
-    first: dict[tuple[int, ...], list[tuple[str, str]]] = {}
+    # Label products multiply and compare as their label keys.
+    first: dict[int, list[tuple[str, str]]] = {}
     for a, ma in heads1:
         for b, mb in tails1:
-            first.setdefault(tuple(sorted(ma + mb)), []).append((a, b))
+            first.setdefault(ma + mb, []).append((a, b))
     candidates: list[tuple[str, str, str, str]] = []
     for c, mc in heads2:
         for d, md in tails2:
-            for a, b in first.get(tuple(sorted(mc + md)), ()):
+            for a, b in first.get(mc + md, ()):
                 candidates.append((a, b, c, d))
     return candidates
 
@@ -457,7 +465,9 @@ def maximal_extensions(
     descends from (or is) the same endpoint of p, that is when each of
     q's atom spans lies inside p's.  Spans nest or are disjoint, so with
     the candidates sorted by their first span only those whose first
-    span starts inside p's first span are compared with p.
+    span starts inside p's first span are compared with p.  A span of
+    one atom is a leaf (``validate_tree`` rejects unary vertices), so a
+    candidate with four one-atom spans is maximal without a comparison.
     """
     candidates = extension_candidates(t, seed, completions=completions)
     span = t.atom_spans
@@ -468,6 +478,9 @@ def maximal_extensions(
     starts = [box[0] for box, _ in boxes]
     maximal = []
     for (la, ha, lb, hb, lc, hc, ld, hd), p in boxes:
+        if la == ha and lb == hb and lc == hc and ld == hd:
+            maximal.append(PathPair(*p, seed.origin))
+            continue
         inside = boxes[bisect_left(starts, la):bisect_right(starts, ha)]
         if not any(
             ha2 <= ha and lb <= lb2 and hb2 <= hb and lc <= lc2 and hc2 <= hc
@@ -513,18 +526,38 @@ def fully_extends(t: StagedTree, seed: PathPair) -> bool:
 
 
 def mpaths_generators(t: StagedTree) -> GeneratorSet:
-    """Bracket differences of all maximal extensions of all seeds.
+    """Bracket differences of all maximal extensions of all seeds."""
+    return _generator_set(t, "mpaths")
 
-    The seeds share one ``completions`` dict, which lives for this call
-    only, so each subtree walk is made once.
+
+def generator_items(t: StagedTree, kind: str) -> Iterator[tuple[str, str, str, str, object]]:
+    """The quadrics p_[a]p_[b] - p_[c]p_[d] of one generator set, as
+    (a, b, c, d, origin), before ``canonical_tables``.
+
+    ``kind`` is "model", "paths" or "mpaths"; the origin is (v, w, s),
+    the seed, or (seed, maximal extension) respectively.  The "mpaths"
+    seeds share one ``completions`` dict, which lives as long as the
+    iterator, so each subtree walk is made once.
     """
+    if kind == "model":
+        return ((v, w1, v1, w, (v, w, s)) for v, w, v1, w1, s in model_quadrics(t))
+    seeds = (seed for v, w in same_stage_pairs(t) for seed in stage_pair_seeds(t, v, w))
+    if kind == "paths":
+        return ((*seed.endpoints(), seed) for seed in seeds)
     completions: dict = {}
-    return _canonical_set(t, "mpaths", (
-        (*pair.endpoints(), f"{seed.origin}, seed {seed}, maximal {pair}")
-        for v, w in same_stage_pairs(t)
-        for seed in stage_pair_seeds(t, v, w)
+    return (
+        (*pair.endpoints(), (seed, pair))
+        for seed in seeds
         for pair in maximal_extensions(t, seed, completions=completions)
-    ))
+    )
+
+
+#: How an origin from ``generator_items`` reads in a provenance entry.
+_DESCRIBE: dict[str, Callable[[object], str]] = {
+    "model": lambda o: f"stage pair ({o[0]}, {o[1]}), label {o[2].name}",
+    "paths": lambda seed: f"{seed.origin}, paths {seed}",
+    "mpaths": lambda o: f"{o[0].origin}, seed {o[0]}, maximal {o[1]}",
+}
 
 
 # -- scalars of the model ----------------------------------------------

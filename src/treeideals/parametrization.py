@@ -21,12 +21,11 @@ from typing import Mapping
 
 from .errors import ForeignSymbol, InvalidSimplexPoint, UnboundSymbol
 from .ideals import (
-    GeneratorSet,
     QuadricTerms,
     _aligned_children,
-    model_invariant_generators,
-    mpaths_generators,
-    paths_ideal_generators,
+    canonical_tables,
+    generator_items,
+    quadric_polynomials,
     same_stage_pairs,
 )
 from .polycore import Monomial, Polynomial, Scalar, Symbol
@@ -88,14 +87,12 @@ def phi_image(t: StagedTree, f: Polynomial) -> Polynomial:
     return SumToOneReduction.for_tree(t).apply(phi_toric_image(t, f))
 
 
-def _word_polynomial(t: StagedTree, counts: Mapping[tuple[int, ...], int]) -> Polynomial:
-    """The sum of k times the label product of w, over the label words
-    w -> k of ``counts`` (see ``StagedTree.label_word``).  Words with
-    k = 0 build no monomial."""
-    labels = t.label_symbols
+def _key_polynomial(t: StagedTree, counts: Mapping[int, int]) -> Polynomial:
+    """The sum of k times the label product of m, over the label keys
+    m -> k of ``counts`` (see ``StagedTree.label_keys``).  Keys with
+    k = 0 are not decoded."""
     return Polynomial(
-        (Monomial((labels[i], e) for i, e in Counter(word).items()), k)
-        for word, k in counts.items() if k
+        (Monomial._presorted(t.label_powers(m)), k) for m, k in counts.items() if k
     )
 
 
@@ -128,39 +125,47 @@ class StarResult:
         return self.holds
 
 
-def star_condition(t: StagedTree, v: str, w: str) -> StarResult:
+def star_condition(
+    t: StagedTree, v: str, w: str, *, t_words: dict | None = None
+) -> StarResult:
     """Check t(v_i)t(w_j) = t(w_i)t(v_j) in the plain label ring.
 
     The products are compared without any sum-to-one reduction; every
     failing aligned index pair is returned as a witness.  t(x) is held
-    as the counts of the sorted label words below x of the atoms through
-    x, and a ``Polynomial`` is built only for a nonzero difference.
+    as the counts of the label keys below x of the atoms through x, and
+    a ``Polynomial`` is built only for a nonzero difference.  The counts
+    are kept in ``t_words`` by vertex; a caller that passes one dict for
+    a run of pairs of one tree counts each of them once.
     """
     aligned = _aligned_children(t, v, w)
-    below: dict[str, Counter[tuple[int, ...]]] = {}
+    memo = {} if t_words is None else t_words
+    keys = t.label_keys
+    span = t.atom_spans
+    atoms = t.atoms
 
-    def t_words(x: str) -> Counter[tuple[int, ...]]:
-        if x not in below:
-            depth = t.depth_of(x)
-            below[x] = Counter(
-                tuple(sorted(t.label_word(t.atoms[k - 1].leaf)[depth:]))
-                for k in t.atom_indices(x)
+    def words(x: str) -> Counter[int]:
+        counts = memo.get(x)
+        if counts is None:
+            base = keys[x]
+            lo, hi = span[x]
+            counts = memo[x] = Counter(
+                keys[atoms[k - 1].leaf] - base for k in range(lo, hi + 1)
             )
-        return below[x]
+        return counts
 
     witnesses: list[StarWitness] = []
     for i in range(len(aligned)):
         for j in range(i + 1, len(aligned)):
             s_i, v_i, w_i = aligned[i]
             s_j, v_j, w_j = aligned[j]
-            difference: Counter[tuple[int, ...]] = Counter()
+            difference: Counter[int] = Counter()
             for x, y, sign in ((v_i, w_j, 1), (w_i, v_j, -1)):
-                for m, p in t_words(x).items():
-                    for n, q in t_words(y).items():
-                        difference[tuple(sorted(m + n))] += sign * p * q
+                for m, p in words(x).items():
+                    for n, q in words(y).items():
+                        difference[m + n] += sign * p * q
             if any(difference.values()):
                 witnesses.append(StarWitness(
-                    i + 1, j + 1, s_i.name, s_j.name, _word_polynomial(t, difference)
+                    i + 1, j + 1, s_i.name, s_j.name, _key_polynomial(t, difference)
                 ))
     return StarResult(v, w, not witnesses, tuple(witnesses))
 
@@ -181,13 +186,15 @@ def is_toric(t: StagedTree) -> ToricityVerdict:
 
     Also reports the sufficient fast path (all same-stage pairs being
     same-position forces toricity; the converse fails in general): it
-    holds when no stage class splits into several positions.
+    holds when no stage class splits into several positions.  The pairs
+    share one ``t_words`` dict, which lives for this call only.
     """
     failures: list[StarResult] = []
     checked = 0
+    t_words: dict = {}
     for v, w in same_stage_pairs(t):
         checked += 1
-        result = star_condition(t, v, w)
+        result = star_condition(t, v, w, t_words=t_words)
         if not result.holds:
             failures.append(result)
     return ToricityVerdict(
@@ -237,36 +244,46 @@ class BracketImages:
     generator of the three sets, and is expanded only otherwise.  The
     monomial image is read off the quadric's atom-pair table instead:
     phi(sum of k*p_i*p_j) = sum of k*m_i*m_j, with m_i the monomial of
-    atom i.  L(v) is the label word of v, label monomials are compared
-    as sorted words, and a ``Monomial`` is built only for a nonzero
-    image.  The sum-to-one reduction is built on first use, so when
-    every label monomial pair agrees it is never built.
+    atom i; for four leaves a, b, c, d it is M1 - M2.  Label monomials
+    multiply and compare as label keys (``StagedTree.label_keys``), and
+    a ``Monomial`` is built only for a nonzero image.  The sum-to-one
+    reduction is built on first use, so when every label monomial pair
+    agrees it is never built.
     """
 
     def __init__(self, t: StagedTree):
         self._tree = t
+        self._keys = t.label_keys
 
     @cached_property
     def _reduction(self) -> SumToOneReduction:
         return SumToOneReduction.for_tree(self._tree)
 
-    def reduced(self, a: str, b: str, c: str, d: str) -> Polynomial:
-        """red(phi(p_[a]p_[b] - p_[c]p_[d])); zero iff the quadric is in ker phi."""
-        word = self._tree.label_word
-        m1, m2 = tuple(sorted(word(a) + word(b))), tuple(sorted(word(c) + word(d)))
+    @cached_property
+    def _atom_keys(self) -> tuple[int, ...]:
+        return tuple(self._keys[a.leaf] for a in self._tree.atoms)
+
+    def label_difference(self, a: str, b: str, c: str, d: str) -> Polynomial:
+        """M1 - M2 = L(a)L(b) - L(c)L(d); for four leaves that is
+        phi(p_a p_b - p_c p_d)."""
+        keys = self._keys
+        m1, m2 = keys[a] + keys[b], keys[c] + keys[d]
         if m1 == m2:
             return Polynomial.zero()
-        return self._reduction.apply(_word_polynomial(self._tree, {m1: 1, m2: -1}))
+        return _key_polynomial(self._tree, {m1: 1, m2: -1})
+
+    def reduced(self, a: str, b: str, c: str, d: str) -> Polynomial:
+        """red(phi(p_[a]p_[b] - p_[c]p_[d])); zero iff the quadric is in ker phi."""
+        image = self.label_difference(a, b, c, d)
+        return image if image.is_zero() else self._reduction.apply(image)
 
     def toric_image(self, terms: QuadricTerms) -> Polynomial:
         """phi of a ``quadric_terms`` table, in the full label ring."""
-        t = self._tree
-        image: Counter[tuple[int, ...]] = Counter()
+        keys = self._atom_keys
+        image: Counter[int] = Counter()
         for (hi, lo), k in terms:
-            image[tuple(sorted(
-                t.label_word(t.atoms[hi - 1].leaf) + t.label_word(t.atoms[lo - 1].leaf)
-            ))] += k
-        return _word_polynomial(t, image)
+            image[keys[hi - 1] + keys[lo - 1]] += k
+        return _key_polynomial(self._tree, image)
 
 
 def containment_report(t: StagedTree) -> ContainmentReport:
@@ -276,30 +293,34 @@ def containment_report(t: StagedTree) -> ContainmentReport:
     generators the unreduced monomial image is recorded too: on a toric
     tree those must vanish and every generator must be a binomial.
     Reduced images come from the generators' bracket endpoints and
-    monomial images from their atom-pair tables (``BracketImages``).
+    monomial images from their atom-pair tables or, for four leaves,
+    their endpoints (``BracketImages``).  The sets are assembled as
+    ``canonical_tables``: a ``Polynomial`` is built for a failing
+    generator and for each maximal-path generator, and no provenance.
     """
     images = BracketImages(t)
-    sets: list[GeneratorSet] = [
-        model_invariant_generators(t),
-        paths_ideal_generators(t),
-        mpaths_generators(t),
-    ]
+    span = t.atom_spans
     checked: dict[str, int] = {}
     failures: list[tuple[str, Polynomial, Polynomial]] = []
-    for genset in sets:
-        checked[genset.kind] = len(genset.generators)
-        for gen, ends in zip(genset.generators, genset.endpoints):
+    for kind in ("model", "paths", "mpaths"):
+        entries = canonical_tables(t, generator_items(t, kind))
+        checked[kind] = len(entries)
+        for table, ends, _ in entries:
             image = images.reduced(*ends)
             if not image.is_zero():
-                failures.append((genset.kind, gen, image))
-    mpaths = sets[-1]
+                failures.append((kind, quadric_polynomials(t, [table])[0], image))
+    # ``entries`` is the maximal-path set now.
+    generators = quadric_polynomials(t, [table for table, _, _ in entries])
+    toric_images = []
+    for gen, (table, ends, _) in zip(generators, entries):
+        if all(span[x][0] == span[x][1] for x in ends):
+            toric_images.append((gen, images.label_difference(*ends)))
+        else:
+            toric_images.append((gen, images.toric_image(table)))
     return ContainmentReport(
         checked=checked,
         phi_failures=tuple(failures),
-        mpaths_toric_images=tuple(
-            (gen, images.toric_image(terms))
-            for gen, terms in zip(mpaths.generators, mpaths.tables)
-        ),
+        mpaths_toric_images=tuple(toric_images),
     )
 
 

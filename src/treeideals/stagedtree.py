@@ -258,8 +258,9 @@ class StagedTree:
     __slots__ = (
         "definition", "table", "root", "vertices", "internal_vertices",
         "leaves", "atoms", "atom_symbols", "label_symbols",
-        "_children", "_parent_edge", "_depth", "_order", "_span",
-        "_p_bracket", "_t_poly", "_word", "_classes", "_class_of", "_atom_by_name",
+        "_children", "_child_by_label", "_parent_edge", "_depth", "_order", "_span",
+        "_p_bracket", "_t_poly", "_keys", "_key_width", "_classes", "_class_of",
+        "_atom_by_name",
     )
 
     def __init__(self, definition: TreeDefinition):
@@ -298,6 +299,7 @@ class StagedTree:
 
         self.vertices = tuple(order)
         self._children = children
+        self._child_by_label: dict[str, dict[Symbol, str]] = {}
         self._parent_edge = parent_edge
         self._depth = {v: len(w) for v, w in word.items()}
         self._order = {v: i for i, v in enumerate(order)}
@@ -330,7 +332,10 @@ class StagedTree:
         self._span = span
         self._p_bracket: dict[str, Polynomial] = {}
         self._t_poly: dict[str, Polynomial] = {}
-        self._word: dict[str, tuple[int, ...]] = {}
+        # Bits per label in a label key: a sum of two keys counts a label
+        # at most twice the depth of the tree.
+        self._keys: Mapping[str, int] | None = None
+        self._key_width = (2 * max(self._depth.values()) + 1).bit_length()
 
         # Stage partition of the internal vertices, keyed by label set;
         # classes ordered by first member, members in depth-first order.
@@ -364,10 +369,17 @@ class StagedTree:
         return self._parent_edge.get(v)
 
     def child_via(self, v: str, label: Symbol) -> str:
-        for e in self.children_of(v):
-            if e.label == label:
-                return e.child
-        raise UnknownVertex(f"vertex {v!r} has no edge labelled {label.name!r}")
+        """The child of v along ``label``, from a per-vertex dict built on
+        first use."""
+        by_label = self._child_by_label.get(v)
+        if by_label is None:
+            by_label = self._child_by_label[v] = {
+                e.label: e.child for e in self.children_of(v)
+            }
+        child = by_label.get(label)
+        if child is None:
+            raise UnknownVertex(f"vertex {v!r} has no edge labelled {label.name!r}")
+        return child
 
     def is_leaf(self, v: str) -> bool:
         self._require(v)
@@ -436,19 +448,40 @@ class StagedTree:
             )
         return self._p_bracket[v]
 
-    def label_word(self, v: str) -> tuple[int, ...]:
-        """Label symbol indices on the path from the root down to v.
+    @property
+    def label_keys(self) -> Mapping[str, int]:
+        """Every vertex's root-path label product as one packed integer.
 
-        Every atom through v starts with this path, so the word is read
-        off the first of them.  Labels are numbered before the atoms, so
-        index i is ``label_symbols[i]``.  Built on first use.
+        Label ``label_symbols[i]`` counts in bits ``width*i`` up to
+        ``width*(i+1)``, where ``width`` holds any count up to twice the
+        depth of the tree.  So a sum of two keys never carries from one
+        label into the next, and key(a) + key(b) == key(c) + key(d)
+        exactly when L(a)L(b) == L(c)L(d).  The label product of the
+        chain from x down to v is key(v) - key(x).  Built on first use,
+        in one pass that gives each child its parent's key plus one in
+        the slot of its edge label.
         """
-        word = self._word.get(v)
-        if word is None:
-            self._require(v)
-            atom = self.atoms[self._span[v][0] - 1]
-            word = self._word[v] = tuple(s.index for s in atom.labels[:self._depth[v]])
-        return word
+        if self._keys is None:
+            width = self._key_width
+            keys = {self.root: 0}
+            for e in self.edges():
+                keys[e.child] = keys[e.parent] + (1 << width * e.label.index)
+            self._keys = MappingProxyType(keys)
+        return self._keys
+
+    def label_powers(self, key: int) -> tuple[tuple[Symbol, int], ...]:
+        """The (label, exponent) pairs of a label key, or of a sum of two,
+        ascending in symbol index and without zero exponents."""
+        width = self._key_width
+        mask = (1 << width) - 1
+        powers = []
+        for s in self.label_symbols:
+            if not key:
+                break
+            if key & mask:
+                powers.append((s, key & mask))
+            key >>= width
+        return tuple(powers)
 
     def t_polynomial(self, v: str) -> Polynomial:
         """Sum over v-to-leaf paths of their edge label products.

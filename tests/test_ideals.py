@@ -128,6 +128,17 @@ def extension_tree(request):
     return load_fixture(request.param)
 
 
+@pytest.fixture(params=FIXTURE_NAMES + sorted(EXTENSION_TREES) + ["level2x5"])
+def span_filter_tree(request):
+    """The extension trees and level(2,5), where most candidates of a
+    seed end at four leaves."""
+    if request.param == "level2x5":
+        return level_tree(2, 5)
+    if request.param in EXTENSION_TREES:
+        return EXTENSION_TREES[request.param]()
+    return load_fixture(request.param)
+
+
 class TestTreePaths:
     def test_path_through_the_root(self):
         t = load_fixture("fig1_t2")
@@ -385,8 +396,8 @@ class TestExtensions:
                                     for x, y in zip(m1.endpoints(), m2.endpoints())
                                 )
 
-    def test_span_filter_matches_pairwise_reference(self, extension_tree):
-        t = extension_tree
+    def test_span_filter_matches_pairwise_reference(self, span_filter_tree):
+        t = span_filter_tree
         for seed in all_seeds(t):
             found = [m.endpoints() for m in maximal_extensions(t, seed)]
             assert found == antichain_maximal(t, seed)

@@ -34,7 +34,7 @@ from treeideals.ideals import (
     quadric_polynomials,
     quadric_terms,
 )
-from treeideals.ideals import same_stage_pairs
+from treeideals.ideals import SeedOrigin, same_stage_pairs
 from treeideals.parametrization import BracketImages
 from treeideals.polycore import compare_polynomials
 from conftest import (
@@ -336,6 +336,25 @@ class TestContainment:
         monkeypatch.setattr(SumToOneReduction, "for_tree", classmethod(forbidden))
         assert containment_report(property_tree).ok
 
+    def test_builds_only_what_it_reports(self, monkeypatch, property_tree):
+        # A polynomial per maximal-path generator, none for the model and
+        # path sets (no image fails here), and no provenance string.
+        built = []
+        from_ordered = Polynomial.from_ordered
+
+        def counted(terms):
+            built.append(terms)
+            return from_ordered(terms)
+
+        def forbidden(self):
+            raise AssertionError("provenance formatted")
+
+        monkeypatch.setattr(Polynomial, "from_ordered", staticmethod(counted))
+        monkeypatch.setattr(SeedOrigin, "__str__", forbidden)
+        report = containment_report(property_tree)
+        assert report.ok
+        assert len(built) == report.checked["mpaths"]
+
 
 class TestBracketImages:
     """Images read per vertex or per atom pair equal the term-by-term ring maps."""
@@ -371,7 +390,7 @@ class TestBracketImages:
         # label monomials above the two products need not agree.
         t = image_tree
         images = BracketImages(t)
-        rng = random.Random(1802)
+        rng, leaf_rng = random.Random(1802), random.Random(2018)
         unequal_and_nonzero = 0
         for _ in range(12):
             a, b, c, d = (rng.choice(t.vertices) for _ in range(4))
@@ -385,6 +404,10 @@ class TestBracketImages:
             above2 = label_monomial(t, c) * label_monomial(t, d)
             if above1 != above2 and not reduced.is_zero():
                 unequal_and_nonzero += 1
+            leaves = [leaf_rng.choice(t.leaves) for _ in range(4)]
+            assert images.label_difference(*leaves) == phi_toric_image(
+                t, bracket_difference(t, *leaves)
+            )
         assert unequal_and_nonzero
 
 

@@ -1,5 +1,8 @@
 """Tree validation, atom enumeration, brackets, stages and positions."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from treeideals import (
@@ -14,7 +17,7 @@ from treeideals import (
     build_tree,
     validate_tree,
 )
-from conftest import FIXTURE_NAMES, caterpillar_tree, load_fixture
+from conftest import FIXTURE_NAMES, GENERATED_TREES, caterpillar_tree, load_fixture
 
 
 def defn(root, vertices, atom_names=None):
@@ -42,6 +45,36 @@ def shared_children_tree():
 def bracket_tree(request):
     if request.param == "shared_children":
         return shared_children_tree()
+    return load_fixture(request.param)
+
+
+def root_labels(t, v):
+    """The edge labels from the root down to v, by walking up."""
+    up = []
+    while (e := t.parent_of(v)) is not None:
+        up.append(e.label)
+        v = e.parent
+    return up[::-1]
+
+
+def label_counts(labels):
+    """(label, count) pairs ascending in symbol index, as ``label_powers``."""
+    return tuple(sorted(Counter(labels).items(), key=lambda p: p[0].index))
+
+
+KEY_TREES = {
+    **GENERATED_TREES,
+    "caterpillar200": lambda: caterpillar_tree(200),
+    "shared_children": shared_children_tree,
+}
+
+
+@pytest.fixture(params=FIXTURE_NAMES + sorted(KEY_TREES))
+def key_tree(request):
+    """Every fixture and generated tree, the deepest caterpillar, and a
+    label repeated along a path."""
+    if request.param in KEY_TREES:
+        return KEY_TREES[request.param]()
     return load_fixture(request.param)
 
 
@@ -231,16 +264,6 @@ class TestBrackets:
                     total = total + Polynomial.variable(e.label) * t.t_polynomial(e.child)
                 assert t.t_polynomial(v) == total
 
-    def test_label_word_walks_down_from_the_root(self, bracket_tree):
-        t = bracket_tree
-        for v in t.vertices:
-            up, x = [], v
-            while (e := t.parent_of(x)) is not None:
-                up.append(e.label)
-                x = e.parent
-            assert t.label_word(v) == tuple(s.index for s in reversed(up))
-            assert [t.label_symbols[i] for i in t.label_word(v)] == up[::-1]
-
     def test_named_subtree_polynomials(self):
         t = load_fixture("star_example")
         a = Polynomial.variable(t.symbol("a0")) + Polynomial.variable(t.symbol("a1"))
@@ -361,3 +384,49 @@ class TestIdentity:
         assert [a.symbol.name for a in t.atoms] == ["left", "right"]
         with pytest.raises(ValueError):
             build_tree()
+
+
+class TestLabelKeys:
+    """Packed label keys against the label words they encode."""
+
+    def test_keys_decode_to_the_path_label_counts(self, key_tree):
+        t = key_tree
+        keys = t.label_keys
+        assert set(keys) == set(t.vertices)
+        for v in t.vertices:
+            assert t.label_powers(keys[v]) == label_counts(root_labels(t, v))
+
+    def test_sums_of_two_keys_decode_without_carries(self, key_tree):
+        # The deepest leaf twice has the largest count a sum can hold.
+        t = key_tree
+        keys = t.label_keys
+        deepest = max(t.vertices, key=t.depth_of)
+        rng = random.Random(f"key sums {len(t.vertices)}")
+        pairs = [(deepest, deepest)]
+        pairs += [tuple(rng.choices(t.vertices, k=2)) for _ in range(200)]
+        for a, b in pairs:
+            expected = label_counts(root_labels(t, a) + root_labels(t, b))
+            assert t.label_powers(keys[a] + keys[b]) == expected
+
+    def test_key_sums_agree_exactly_when_label_words_agree(self, key_tree):
+        t = key_tree
+        keys = t.label_keys
+        words = {v: tuple(s.index for s in root_labels(t, v)) for v in t.vertices}
+        same_word: dict[tuple[int, ...], list[str]] = {}
+        for v in t.vertices:
+            same_word.setdefault(tuple(sorted(words[v])), []).append(v)
+        rng = random.Random(f"key quadruples {len(t.vertices)}")
+        agreeing = 0
+        for _ in range(300):
+            a, b, c, d = rng.choices(t.vertices, k=4)
+            if rng.random() < 0.5:
+                # Swap in vertices with the same sorted words, so that some
+                # quadruples agree without repeating their vertices.
+                c = rng.choice(same_word[tuple(sorted(words[a]))])
+                d = rng.choice(same_word[tuple(sorted(words[b]))])
+                if rng.random() < 0.5:
+                    c, d = d, c
+            same = sorted(words[a] + words[b]) == sorted(words[c] + words[d])
+            agreeing += same
+            assert (keys[a] + keys[b] == keys[c] + keys[d]) == same
+        assert agreeing
