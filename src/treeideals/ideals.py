@@ -119,12 +119,17 @@ def canonical_tables(
     return [(k, *acc[k]) for k in sorted(acc, key=quadric_key, reverse=True)]
 
 
-def _generator_set(t: StagedTree, kind: str) -> GeneratorSet:
-    """The canonical generator set of one kind, with provenance strings."""
-    entries = canonical_tables(t, generator_items(t, kind))
+def _generator_set(
+    t: StagedTree,
+    kind: str,
+    items: Iterable[tuple[str, str, str, str, object]],
+    describe: Callable[[object], str],
+) -> GeneratorSet:
+    """The canonical generator set of the items, each origin read as a
+    provenance entry by ``describe``."""
+    entries = canonical_tables(t, items)
     tables = tuple(table for table, _, _ in entries)
     generators = quadric_polynomials(t, tables)
-    describe = _DESCRIBE[kind]
     return GeneratorSet(
         kind=kind,
         generators=generators,
@@ -326,9 +331,16 @@ def model_quadrics(t: StagedTree) -> Iterator[tuple[str, str, str, str, Symbol]]
             yield v, w, t.child_via(v, s), t.child_via(w, s), s
 
 
+def model_items(t: StagedTree) -> Iterator[tuple[str, str, str, str, tuple[str, str, Symbol]]]:
+    """The model invariants as ``canonical_tables`` items, with origin (v, w, s)."""
+    return ((v, w1, v1, w, (v, w, s)) for v, w, v1, w1, s in model_quadrics(t))
+
+
 def model_invariant_generators(t: StagedTree) -> GeneratorSet:
     """Odds-ratio quadrics p_[v]p_[w'] - p_[v']p_[w], one per pair and label."""
-    return _generator_set(t, "model")
+    return _generator_set(
+        t, "model", model_items(t), lambda o: f"stage pair ({o[0]}, {o[1]}), label {o[2].name}"
+    )
 
 
 def stage_path_generators(t: StagedTree, v: str, w: str) -> list[Polynomial]:
@@ -342,9 +354,22 @@ def stage_path_generators(t: StagedTree, v: str, w: str) -> list[Polynomial]:
     ]
 
 
+def _all_seeds(t: StagedTree) -> Iterator[PathPair]:
+    """The seeds of every same-stage pair."""
+    return (seed for v, w in same_stage_pairs(t) for seed in stage_pair_seeds(t, v, w))
+
+
+def paths_items(t: StagedTree) -> Iterator[tuple[str, str, str, str, PathPair]]:
+    """The seed path differences as ``canonical_tables`` items, with the
+    seed as origin."""
+    return ((*seed.endpoints(), seed) for seed in _all_seeds(t))
+
+
 def paths_ideal_generators(t: StagedTree) -> GeneratorSet:
     """Union of the stage path generators over all same-stage pairs."""
-    return _generator_set(t, "paths")
+    return _generator_set(
+        t, "paths", paths_items(t), lambda seed: f"{seed.origin}, paths {seed}"
+    )
 
 
 # -- extensions --------------------------------------------------------
@@ -525,39 +550,28 @@ def fully_extends(t: StagedTree, seed: PathPair) -> bool:
     )
 
 
-def mpaths_generators(t: StagedTree) -> GeneratorSet:
-    """Bracket differences of all maximal extensions of all seeds."""
-    return _generator_set(t, "mpaths")
+def mpaths_items(
+    t: StagedTree,
+) -> Iterator[tuple[str, str, str, str, tuple[PathPair, PathPair]]]:
+    """The maximal extensions of all seeds as ``canonical_tables`` items,
+    with origin (seed, maximal extension).
 
-
-def generator_items(t: StagedTree, kind: str) -> Iterator[tuple[str, str, str, str, object]]:
-    """The quadrics p_[a]p_[b] - p_[c]p_[d] of one generator set, as
-    (a, b, c, d, origin), before ``canonical_tables``.
-
-    ``kind`` is "model", "paths" or "mpaths"; the origin is (v, w, s),
-    the seed, or (seed, maximal extension) respectively.  The "mpaths"
-    seeds share one ``completions`` dict, which lives as long as the
+    The seeds share one ``completions`` dict, which lives as long as the
     iterator, so each subtree walk is made once.
     """
-    if kind == "model":
-        return ((v, w1, v1, w, (v, w, s)) for v, w, v1, w1, s in model_quadrics(t))
-    seeds = (seed for v, w in same_stage_pairs(t) for seed in stage_pair_seeds(t, v, w))
-    if kind == "paths":
-        return ((*seed.endpoints(), seed) for seed in seeds)
     completions: dict = {}
     return (
         (*pair.endpoints(), (seed, pair))
-        for seed in seeds
+        for seed in _all_seeds(t)
         for pair in maximal_extensions(t, seed, completions=completions)
     )
 
 
-#: How an origin from ``generator_items`` reads in a provenance entry.
-_DESCRIBE: dict[str, Callable[[object], str]] = {
-    "model": lambda o: f"stage pair ({o[0]}, {o[1]}), label {o[2].name}",
-    "paths": lambda seed: f"{seed.origin}, paths {seed}",
-    "mpaths": lambda o: f"{o[0].origin}, seed {o[0]}, maximal {o[1]}",
-}
+def mpaths_generators(t: StagedTree) -> GeneratorSet:
+    """Bracket differences of all maximal extensions of all seeds."""
+    return _generator_set(
+        t, "mpaths", mpaths_items(t), lambda o: f"{o[0].origin}, seed {o[0]}, maximal {o[1]}"
+    )
 
 
 # -- scalars of the model ----------------------------------------------

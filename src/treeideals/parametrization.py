@@ -24,7 +24,9 @@ from .ideals import (
     QuadricTerms,
     _aligned_children,
     canonical_tables,
-    generator_items,
+    model_items,
+    mpaths_items,
+    paths_items,
     quadric_polynomials,
     same_stage_pairs,
 )
@@ -244,11 +246,10 @@ class BracketImages:
     generator of the three sets, and is expanded only otherwise.  The
     monomial image is read off the quadric's atom-pair table instead:
     phi(sum of k*p_i*p_j) = sum of k*m_i*m_j, with m_i the monomial of
-    atom i; for four leaves a, b, c, d it is M1 - M2.  Label monomials
-    multiply and compare as label keys (``StagedTree.label_keys``), and
-    a ``Monomial`` is built only for a nonzero image.  The sum-to-one
-    reduction is built on first use, so when every label monomial pair
-    agrees it is never built.
+    atom i.  Label monomials multiply and compare as label keys
+    (``StagedTree.label_keys``), and a ``Monomial`` is built only for a
+    nonzero image.  The sum-to-one reduction is built on first use, so
+    when every label monomial pair agrees it is never built.
     """
 
     def __init__(self, t: StagedTree):
@@ -293,34 +294,30 @@ def containment_report(t: StagedTree) -> ContainmentReport:
     generators the unreduced monomial image is recorded too: on a toric
     tree those must vanish and every generator must be a binomial.
     Reduced images come from the generators' bracket endpoints and
-    monomial images from their atom-pair tables or, for four leaves,
-    their endpoints (``BracketImages``).  The sets are assembled as
-    ``canonical_tables``: a ``Polynomial`` is built for a failing
-    generator and for each maximal-path generator, and no provenance.
+    monomial images from their atom-pair tables (``BracketImages``).
+    The sets are assembled as ``canonical_tables``: a ``Polynomial`` is
+    built for a failing generator and for each maximal-path generator,
+    and no provenance.
     """
     images = BracketImages(t)
-    span = t.atom_spans
     checked: dict[str, int] = {}
     failures: list[tuple[str, Polynomial, Polynomial]] = []
-    for kind in ("model", "paths", "mpaths"):
-        entries = canonical_tables(t, generator_items(t, kind))
+    for kind, items in (("model", model_items), ("paths", paths_items), ("mpaths", mpaths_items)):
+        entries = canonical_tables(t, items(t))
         checked[kind] = len(entries)
         for table, ends, _ in entries:
             image = images.reduced(*ends)
             if not image.is_zero():
                 failures.append((kind, quadric_polynomials(t, [table])[0], image))
     # ``entries`` is the maximal-path set now.
-    generators = quadric_polynomials(t, [table for table, _, _ in entries])
-    toric_images = []
-    for gen, (table, ends, _) in zip(generators, entries):
-        if all(span[x][0] == span[x][1] for x in ends):
-            toric_images.append((gen, images.label_difference(*ends)))
-        else:
-            toric_images.append((gen, images.toric_image(table)))
+    tables = [table for table, _, _ in entries]
     return ContainmentReport(
         checked=checked,
         phi_failures=tuple(failures),
-        mpaths_toric_images=tuple(toric_images),
+        mpaths_toric_images=tuple(
+            (gen, images.toric_image(table))
+            for gen, table in zip(quadric_polynomials(t, tables), tables)
+        ),
     )
 
 

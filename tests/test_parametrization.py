@@ -338,7 +338,8 @@ class TestContainment:
 
     def test_builds_only_what_it_reports(self, monkeypatch, property_tree):
         # A polynomial per maximal-path generator, none for the model and
-        # path sets (no image fails here), and no provenance string.
+        # path sets (no image fails here), and no provenance string: every
+        # set's provenance is formatted in ``_generator_set``.
         built = []
         from_ordered = Polynomial.from_ordered
 
@@ -346,11 +347,12 @@ class TestContainment:
             built.append(terms)
             return from_ordered(terms)
 
-        def forbidden(self):
+        def forbidden(*args):
             raise AssertionError("provenance formatted")
 
         monkeypatch.setattr(Polynomial, "from_ordered", staticmethod(counted))
         monkeypatch.setattr(SeedOrigin, "__str__", forbidden)
+        monkeypatch.setattr("treeideals.ideals._generator_set", forbidden)
         report = containment_report(property_tree)
         assert report.ok
         assert len(built) == report.checked["mpaths"]
